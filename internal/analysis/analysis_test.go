@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -316,6 +318,81 @@ func TestDefaultSuiteCleanOnTree(t *testing.T) {
 	}
 	for _, d := range Run(mod, DefaultAnalyzers()) {
 		t.Errorf("finding on clean tree: %s", d)
+	}
+}
+
+// TestTaintSpecNamesExist catches stale policy rows: a table key naming a
+// function, method or type the module no longer declares matches nothing and
+// raises no error, so a rename would silently drop the row's effect. Every
+// gendpr key in the default taint spec's tables must equal the FullName of a
+// declaration in the module.
+func TestTaintSpecNamesExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	mod, err := LoadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[string]bool)
+	for _, pkg := range mod.Packages {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				declared[obj.FullName()] = true
+			case *types.TypeName:
+				declared[obj.Pkg().Path()+"."+obj.Name()] = true
+				for _, recv := range []types.Type{obj.Type(), types.NewPointer(obj.Type())} {
+					methods := types.NewMethodSet(recv)
+					for i := 0; i < methods.Len(); i++ {
+						declared[methods.At(i).Obj().(*types.Func).FullName()] = true
+					}
+				}
+			}
+		}
+	}
+
+	spec := DefaultTaintSpec()
+	var keys []string
+	for k := range spec.SecretTypes {
+		keys = append(keys, k)
+	}
+	for k := range spec.SourceFuncs {
+		keys = append(keys, k)
+	}
+	for k := range spec.Declassifiers {
+		keys = append(keys, k)
+	}
+	for k := range spec.Sinks {
+		keys = append(keys, k)
+	}
+	for k := range spec.FormatFuncs {
+		keys = append(keys, k)
+	}
+	keys = append(keys, spec.ReleaseTypes...)
+	for k := range spec.OrderSinks {
+		keys = append(keys, k)
+	}
+	for k := range spec.OrderBarriers {
+		keys = append(keys, k)
+	}
+	for k := range spec.Oblivious.Barriers {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	checked := 0
+	for _, k := range keys {
+		if !strings.HasPrefix(strings.TrimLeft(k, "(*"), "gendpr") {
+			continue
+		}
+		checked++
+		if !declared[k] {
+			t.Errorf("taint spec row %q names nothing the module declares", k)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no gendpr rows checked; the spec walk is broken")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -22,12 +23,11 @@ const (
 	lrMatrixOverhead = 16
 )
 
-// RunAssessment executes the GenDPR verification pipeline: Phase 1 (MAF),
-// Phase 2 (LD), Phase 3 (LR-test), with per-phase intersection across the
-// collusion combinations the policy demands. It is the single protocol
-// implementation behind both the in-process runner and the networked
-// middleware: the members parameter abstracts where intermediate results
-// come from.
+// Run executes the GenDPR verification pipeline: Phase 1 (MAF), Phase 2
+// (LD), Phase 3 (LR-test), with per-phase intersection across the collusion
+// combinations the policy demands. It is the single protocol implementation
+// behind both the in-process runner and the networked middleware: the
+// members parameter abstracts where intermediate results come from.
 //
 // Member-side computations (count vectors, pair statistics, LR-matrices) are
 // requested concurrently, mirroring the real deployment where each GDO works
@@ -42,18 +42,184 @@ const (
 // leaderEnclave, when non-nil, accounts the leader-side protected memory the
 // protocol intermediates occupy (count vectors, pair statistics, LR-matrices)
 // and is the source of Table 3's memory column.
-func RunAssessment(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave) (*Report, error) {
-	return RunAssessmentWithOptions(members, reference, cfg, policy, leaderEnclave, AssessmentOptions{})
+//
+// With opts.MinQuorum ≤ 0 the run makes exactly one attempt. With a positive
+// MinQuorum, a member declared failed (its provider reports ErrMemberFailed)
+// is excluded and the assessment restarts over the survivors as long as at
+// least MinQuorum remain; Report.Excluded lists them. Each member is wrapped
+// in one response cache for the whole call, so a survivor's completed
+// answers replay from memory on a restart instead of re-querying it. Each
+// attempt passes the surviving providers' names through, so a checkpoint
+// written before an exclusion (whose fingerprint covers the full name set)
+// is ignored by the shrunken attempt rather than mis-seeded.
+//
+// Degrading to a subset is privacy-conservative: every phase already
+// evaluates honest subsets of the membership under collusion tolerance, and a
+// release deemed safe for fewer contributors reveals no more when the
+// excluded shards never contribute. The collusion policy is re-validated
+// against the shrunken federation and the run aborts if it can no longer be
+// satisfied.
+func Run(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts Options) (*Report, error) {
+	if opts.Checkpoints != nil && len(opts.ProviderNames) != len(members) {
+		return nil, fmt.Errorf("core: %d provider names for %d members (checkpointing needs stable identities)", len(opts.ProviderNames), len(members))
+	}
+	cached := make([]*cachedProvider, len(members))
+	for i, m := range members {
+		cached[i] = newCachedProvider(m)
+	}
+	alive := make([]int, len(members))
+	for i := range alive {
+		alive[i] = i
+	}
+	var excluded, rejoined []int
+	var blames []Blame
+	// exclusionKind records why each excluded member is out: a blame kind for
+	// quarantined members (permanently barred), "" for crash failures (one
+	// rejoin attempt each when AllowRejoin is set).
+	exclusionKind := make(map[int]string)
+	rejoinSpent := make(map[int]bool)
+
+	memberName := func(id int) string {
+		if len(opts.ProviderNames) == len(members) {
+			return opts.ProviderNames[id]
+		}
+		return fmt.Sprintf("member %d", id)
+	}
+	emit := func(id int, event, phase string) {
+		if opts.OnTransition != nil {
+			opts.OnTransition(memberName(id), event, phase)
+		}
+	}
+
+	for {
+		current := make([]*cachedProvider, len(alive))
+		var names []string
+		if len(opts.ProviderNames) == len(members) {
+			names = make([]string, len(alive))
+		}
+		for slot, id := range alive {
+			current[slot] = cached[id]
+			if names != nil {
+				names[slot] = opts.ProviderNames[id]
+			}
+		}
+		report, err := runAttempt(current, names, reference, cfg, policy, leaderEnclave, opts, blames)
+		if err == nil {
+			report.Excluded = append([]int(nil), excluded...)
+			report.Blamed = mergeBlames(report.Blamed, blames)
+			report.Rejoined = append([]int(nil), rejoined...)
+			return report, nil
+		}
+		if opts.MinQuorum <= 0 {
+			return nil, err
+		}
+		if opts.Context != nil && opts.Context.Err() != nil {
+			// Cancellation is never a member failure; surface it directly.
+			return nil, opts.Context.Err()
+		}
+		var byz []byzantineFault
+		if opts.Byzantine {
+			byz = byzantineFaults(err)
+		}
+		byzSlots := make(map[int]bool, len(byz))
+		for _, f := range byz {
+			byzSlots[f.slot] = true
+		}
+		failed := FailedMembers(err)
+		// A slot implicated both ways is quarantined, not merely dropped.
+		crashed := failed[:0]
+		for _, slot := range failed {
+			if !byzSlots[slot] {
+				crashed = append(crashed, slot)
+			}
+		}
+		if len(crashed) == 0 && len(byz) == 0 {
+			return nil, err
+		}
+		phases := memberPhases(err)
+
+		// Map slot indices of this attempt back to original member identities
+		// and drop them from the roster.
+		drop := make(map[int]bool, len(crashed)+len(byz))
+		for _, f := range byz {
+			id := alive[f.slot]
+			drop[f.slot] = true
+			exclusionKind[id] = f.kind
+			blames = append(blames, Blame{
+				Member: memberName(id), Phase: f.phase, Query: f.query,
+				Kind: f.kind, Prior: f.prior, Observed: f.observed,
+			})
+			emit(id, "byzantine", f.phase)
+		}
+		for _, slot := range crashed {
+			id := alive[slot]
+			drop[slot] = true
+			exclusionKind[id] = ""
+			emit(id, "excluded", phases[slot])
+		}
+		next := alive[:0]
+		for slot, id := range alive {
+			if drop[slot] {
+				excluded = append(excluded, id)
+				rejoined = removeID(rejoined, id)
+			} else {
+				next = append(next, id)
+			}
+		}
+		alive = next
+		sort.Ints(excluded)
+
+		// Rejoin pass: the restart is a phase boundary, so crash-failed
+		// members with rejoin budget left may re-attest now. Re-admission
+		// requires the summary audit to pass — a member that changed its
+		// story across the gap is upgraded to a quarantine instead.
+		if opts.AllowRejoin {
+			still := excluded[:0]
+			for _, id := range excluded {
+				if exclusionKind[id] != "" || rejoinSpent[id] {
+					still = append(still, id)
+					continue
+				}
+				rejoinSpent[id] = true
+				rerr := cached[id].rejoin()
+				if rerr == nil {
+					alive = append(alive, id)
+					rejoined = append(rejoined, id)
+					emit(id, "rejoined", PhaseSummary)
+					continue
+				}
+				still = append(still, id)
+				var eq *EquivocationError
+				if errors.As(rerr, &eq) {
+					exclusionKind[id] = BlameEquivocation
+					blames = append(blames, Blame{
+						Member: memberName(id), Phase: eq.Phase, Query: eq.Query,
+						Kind: BlameEquivocation, Prior: eq.Prior, Observed: eq.Observed,
+					})
+					emit(id, "byzantine", eq.Phase)
+				}
+			}
+			excluded = still
+			sort.Ints(alive)
+			sort.Ints(rejoined)
+		}
+
+		survivors := len(alive)
+		if survivors < opts.MinQuorum {
+			return nil, fmt.Errorf("%w: %d survivors after excluding %d member(s), need %d: %v",
+				ErrQuorumLost, survivors, len(excluded), opts.MinQuorum, err)
+		}
+		if perr := policy.Validate(survivors); perr != nil {
+			return nil, fmt.Errorf("core: collusion policy unsatisfiable over %d survivors: %w (member failure: %v)", survivors, perr, err)
+		}
+	}
 }
 
-// RunAssessmentWithOptions is RunAssessment with cancellation and checkpoint
-// durability. With the zero options it behaves exactly like RunAssessment.
-// When opts.Checkpoints is set, phase boundaries are persisted to the store,
-// and a compatible existing checkpoint (same fingerprint: configuration,
-// policy, provider name set, reference dimensions) seeds the run — completed
-// phases replay from the snapshot instead of re-querying members, and
-// Report.Resumed records that it happened.
-func RunAssessmentWithOptions(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
+// runAttempt is one pass of the three phases over the given members. names
+// align with members (nil when the caller gave none); blamed carries the
+// quarantines of earlier attempts so they persist at every checkpoint
+// boundary and survive a leader failover.
+func runAttempt(members []*cachedProvider, names []string, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts Options, blamed []Blame) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,12 +243,10 @@ func RunAssessmentWithOptions(members []Provider, reference *genome.Matrix, cfg 
 		cfg:     cfg,
 		ref:     reference,
 		acct:    leaderEnclave,
-		members: make([]*cachedProvider, g),
+		members: members,
 		report:  &Report{Combinations: len(subsets)},
 		pool:    defaultWorkPool(),
-	}
-	for i, m := range members {
-		run.members[i] = newCachedProvider(m)
+		audit:   opts.Byzantine,
 	}
 
 	chainsPerBlock := 1
@@ -98,18 +262,14 @@ func RunAssessmentWithOptions(members []Provider, reference *genome.Matrix, cfg 
 	}
 
 	if opts.Checkpoints != nil {
-		if len(opts.ProviderNames) != g {
-			return nil, fmt.Errorf("core: %d provider names for %d members (checkpointing needs stable identities)", len(opts.ProviderNames), g)
-		}
-		fp := Fingerprint(cfg, policy, opts.ProviderNames, reference.N(), reference.L())
-		run.cs, err = newCkState(opts.Checkpoints, opts.ProviderNames, fp, g, policy)
+		fp := Fingerprint(cfg, policy, names, reference.N(), reference.L())
+		run.cs, err = newCkState(opts.Checkpoints, names, fp, g, policy)
 		if err != nil {
 			return nil, err
 		}
 		run.cs.retain = opts.RetainCheckpoints
-		run.cs.adoptBlames(opts.blamed)
+		run.cs.adoptBlames(blamed)
 	}
-	run.audit = opts.auditSummaries
 
 	if err := run.ctxErr(); err != nil {
 		return nil, err
@@ -754,7 +914,7 @@ func (r *assessmentRun) phase3LR(plan *latticePlan, lDouble []int) ([]int, [][]i
 	// rebuild it exists to avoid).
 	patterned := true
 	for _, m := range r.members {
-		if !m.supportsPatterns() {
+		if _, ok := m.inner.(PatternProvider); !ok {
 			patterned = false
 			break
 		}

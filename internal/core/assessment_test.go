@@ -160,11 +160,11 @@ func TestObliviousMemberMatchesLocalMember(t *testing.T) {
 		}
 		oblivProviders[i] = om
 	}
-	plain, err := RunAssessment(plainProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+	plain, err := Run(plainProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obliv, err := RunAssessment(oblivProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+	obliv, err := Run(oblivProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,20 +258,20 @@ func TestNaiveDivergesFromCentralized(t *testing.T) {
 	assertSubset(t, naive.Selection.Safe, naive.Selection.AfterLD, "naive safe ⊆ naive LD")
 }
 
-func TestRunAssessmentInputValidation(t *testing.T) {
+func TestRunInputValidation(t *testing.T) {
 	cohort := testCohort(t, 40, 60, 3)
 	ref := cohort.Reference
-	if _, err := RunAssessment(nil, ref, DefaultConfig(), CollusionPolicy{}, nil); !errors.Is(err, ErrNoMembers) {
+	if _, err := Run(nil, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{}); !errors.Is(err, ErrNoMembers) {
 		t.Errorf("no members: %v", err)
 	}
 	member := NewLocalMember(cohort.Case)
-	if _, err := RunAssessment([]Provider{member}, nil, DefaultConfig(), CollusionPolicy{}, nil); err == nil {
+	if _, err := Run([]Provider{member}, nil, DefaultConfig(), CollusionPolicy{}, nil, Options{}); err == nil {
 		t.Error("nil reference must fail")
 	}
-	if _, err := RunAssessment([]Provider{member}, ref, Config{}, CollusionPolicy{}, nil); err == nil {
+	if _, err := Run([]Provider{member}, ref, Config{}, CollusionPolicy{}, nil, Options{}); err == nil {
 		t.Error("zero config must fail validation")
 	}
-	if _, err := RunAssessment([]Provider{member}, ref, DefaultConfig(), CollusionPolicy{F: 5}, nil); err == nil {
+	if _, err := Run([]Provider{member}, ref, DefaultConfig(), CollusionPolicy{F: 5}, nil, Options{}); err == nil {
 		t.Error("excessive f must fail")
 	}
 }
@@ -293,13 +293,13 @@ func (f *faultyProvider) Counts() ([]int64, error) {
 
 func (f *faultyProvider) CaseN() (int64, error) { return f.caseN, nil }
 
-func TestRunAssessmentRejectsTamperedCounts(t *testing.T) {
+func TestRunRejectsTamperedCounts(t *testing.T) {
 	cohort := testCohort(t, 40, 60, 3)
 	good := NewLocalMember(cohort.Case)
 
 	// Count vector longer than the SNP set.
 	bad := &faultyProvider{counts: make([]int64, 41), caseN: 10}
-	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil); err == nil {
+	if _, err := Run([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{}); err == nil {
 		t.Error("oversized count vector accepted")
 	}
 
@@ -307,13 +307,13 @@ func TestRunAssessmentRejectsTamperedCounts(t *testing.T) {
 	counts := make([]int64, 40)
 	counts[7] = 11
 	bad = &faultyProvider{counts: counts, caseN: 10}
-	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil); err == nil {
+	if _, err := Run([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{}); err == nil {
 		t.Error("count > population accepted")
 	}
 
 	// A member that errors out.
 	bad = &faultyProvider{err: errors.New("member crashed")}
-	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil); err == nil ||
+	if _, err := Run([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "member crashed") {
 		t.Errorf("member failure not propagated: %v", err)
 	}
@@ -352,9 +352,9 @@ func TestAssessmentFailsWhenEnclaveTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunAssessment(
+	_, err = Run(
 		[]Provider{NewLocalMember(cohort.Case)},
-		cohort.Reference, DefaultConfig(), CollusionPolicy{}, tiny,
+		cohort.Reference, DefaultConfig(), CollusionPolicy{}, tiny, Options{},
 	)
 	if !errors.Is(err, enclave.ErrOutOfMemory) {
 		t.Fatalf("got %v, want enclave OOM", err)
@@ -441,9 +441,9 @@ func TestPhase2LDUsesBatchPath(t *testing.T) {
 		counters = append(counters, c)
 		members = append(members, c)
 	}
-	report, err := RunAssessment(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+	report, err := Run(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{})
 	if err != nil {
-		t.Fatalf("RunAssessment: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(report.Selection.AfterLD) >= len(report.Selection.AfterMAF) {
 		t.Fatal("degenerate test data: LD phase pruned nothing, no survivor chain to batch")

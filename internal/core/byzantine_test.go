@@ -51,12 +51,12 @@ func TestByzantineModesQuarantined(t *testing.T) {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			providers, ref, want := byzantineFixture(t, 1, tc.mode, 1)
 			var events []string
-			res := Resilience{MinQuorum: 2, Byzantine: true, OnTransition: func(member, event, phase string) {
+			res := Options{MinQuorum: 2, Byzantine: true, OnTransition: func(member, event, phase string) {
 				events = append(events, fmt.Sprintf("%s/%s/%s", member, event, phase))
 			}}
-			rep, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, res)
+			rep, err := Run(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, res)
 			if err != nil {
-				t.Fatalf("RunAssessmentResilient: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if len(rep.Excluded) != 1 || rep.Excluded[0] != 1 {
 				t.Fatalf("Excluded = %v, want [1]", rep.Excluded)
@@ -82,11 +82,11 @@ func TestByzantineModesQuarantined(t *testing.T) {
 }
 
 // TestByzantineDisabledStaysFatal pins the conservative default: without
-// Resilience.Byzantine an invalid payload still aborts the whole run, so
+// Options.Byzantine an invalid payload still aborts the whole run, so
 // enabling quarantine is an explicit operator decision.
 func TestByzantineDisabledStaysFatal(t *testing.T) {
 	providers, ref, _ := byzantineFixture(t, 1, ByzantineCountsOverflow, 1)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 2})
+	_, err := Run(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{MinQuorum: 2})
 	if err == nil {
 		t.Fatal("expected the invalid payload to abort with Byzantine handling off")
 	}
@@ -163,12 +163,12 @@ func TestRejoinAfterCrash(t *testing.T) {
 	}
 
 	var events []string
-	res := Resilience{MinQuorum: 2, Byzantine: true, AllowRejoin: true, OnTransition: func(member, event, phase string) {
+	res := Options{MinQuorum: 2, Byzantine: true, AllowRejoin: true, OnTransition: func(member, event, phase string) {
 		events = append(events, member+"/"+event)
 	}}
-	rep, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, res)
+	rep, err := Run(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, res)
 	if err != nil {
-		t.Fatalf("RunAssessmentResilient: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(rep.Excluded) != 0 {
 		t.Fatalf("Excluded = %v, want none after rejoin", rep.Excluded)
@@ -209,10 +209,10 @@ func TestRejoinAuditCatchesEquivocator(t *testing.T) {
 		t.Fatalf("survivor baseline: %v", err)
 	}
 
-	res := Resilience{MinQuorum: 2, Byzantine: true, AllowRejoin: true}
-	rep, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, res)
+	res := Options{MinQuorum: 2, Byzantine: true, AllowRejoin: true}
+	rep, err := Run(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, res)
 	if err != nil {
-		t.Fatalf("RunAssessmentResilient: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(rep.Excluded) != 1 || rep.Excluded[0] != 2 {
 		t.Fatalf("Excluded = %v, want [2]", rep.Excluded)
@@ -257,68 +257,82 @@ type keepStore struct{ checkpoint.Store }
 func (keepStore) Clear() error { return nil }
 
 // TestResumeAuditCatchesEquivocation covers the restarted-leader probe: a
-// run resumed from a checkpoint challenges every auditable member to
-// reproduce its recorded summary, quarantines the one that answers
-// differently, persists the blame into the next checkpoint stream, and
-// completes over the survivors.
+// Byzantine-aware run resumed from a checkpoint challenges every auditable
+// member to reproduce its recorded summary. With a quorum it quarantines the
+// one that answers differently, persists the blame into the next checkpoint
+// stream, and completes over the survivors; without one it aborts with the
+// equivocation attributed to that member.
 func TestResumeAuditCatchesEquivocation(t *testing.T) {
 	cohort := testCohort(t, 120, 320, 59)
 	shards := shardsOf(t, cohort, 4)
 	names := []string{"gdo-0", "gdo-1", "gdo-2", "gdo-3"}
-	store := keepStore{checkpoint.NewMemStore()}
+	for _, minQuorum := range []int{2, 0} {
+		t.Run(fmt.Sprintf("MinQuorum=%d", minQuorum), func(t *testing.T) {
+			store := keepStore{checkpoint.NewMemStore()}
+			honest := make([]Provider, len(shards))
+			for i, s := range shards {
+				honest[i] = NewLocalMember(s)
+			}
+			opts := Options{ProviderNames: names, Checkpoints: store}
+			if _, err := Run(honest, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts); err != nil {
+				t.Fatalf("seeding run: %v", err)
+			}
 
-	honest := make([]Provider, len(shards))
-	for i, s := range shards {
-		honest[i] = NewLocalMember(s)
-	}
-	opts := AssessmentOptions{ProviderNames: names, Checkpoints: store}
-	if _, err := RunAssessmentWithOptions(honest, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts); err != nil {
-		t.Fatalf("seeding run: %v", err)
-	}
+			// The restarted leader sees the same federation, except member 3
+			// now answers audits with a different summary than it reported
+			// before.
+			resumed := make([]Provider, len(shards))
+			survivors := make([]*genome.Matrix, 0, 3)
+			for i, s := range shards {
+				if i == 3 {
+					resumed[i] = &equivocatingAuditor{LocalMember: NewLocalMember(s)}
+					continue
+				}
+				resumed[i] = NewLocalMember(s)
+				survivors = append(survivors, s)
+			}
+			opts.MinQuorum = minQuorum
+			opts.Byzantine = true
+			rep, err := Run(resumed, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts)
+			if minQuorum <= 0 {
+				var me *MemberError
+				var eq *EquivocationError
+				if !errors.As(err, &me) || me.Member != 3 || me.Phase != PhaseSummary || !errors.As(me.Err, &eq) {
+					t.Fatalf("resumed run without quorum: error %v, want member 3's summary equivocation", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if len(rep.Excluded) != 1 || rep.Excluded[0] != 3 {
+				t.Fatalf("Excluded = %v, want [3]", rep.Excluded)
+			}
+			if len(rep.Blamed) != 1 {
+				t.Fatalf("Blamed = %+v, want one record", rep.Blamed)
+			}
+			b := rep.Blamed[0]
+			if b.Kind != BlameEquivocation || b.Member != "gdo-3" || b.Phase != PhaseSummary || b.Query != "summary" {
+				t.Errorf("blame = %+v, want summary equivocation against gdo-3", b)
+			}
+			want, err := RunDistributed(survivors, cohort.Reference, DefaultConfig(), CollusionPolicy{})
+			if err != nil {
+				t.Fatalf("survivor baseline: %v", err)
+			}
+			if !rep.Selection.Equal(want.Selection) {
+				t.Errorf("selection %v != survivor baseline %v", rep.Selection, want.Selection)
+			}
 
-	// The restarted leader sees the same federation, except member 3 now
-	// answers audits with a different summary than it reported before.
-	resumed := make([]Provider, len(shards))
-	survivors := make([]*genome.Matrix, 0, 3)
-	for i, s := range shards {
-		if i == 3 {
-			resumed[i] = &equivocatingAuditor{LocalMember: NewLocalMember(s)}
-			continue
-		}
-		resumed[i] = NewLocalMember(s)
-		survivors = append(survivors, s)
-	}
-	rep, err := RunAssessmentResilientWithOptions(resumed, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil,
-		Resilience{MinQuorum: 2, Byzantine: true}, opts)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if len(rep.Excluded) != 1 || rep.Excluded[0] != 3 {
-		t.Fatalf("Excluded = %v, want [3]", rep.Excluded)
-	}
-	if len(rep.Blamed) != 1 {
-		t.Fatalf("Blamed = %+v, want one record", rep.Blamed)
-	}
-	b := rep.Blamed[0]
-	if b.Kind != BlameEquivocation || b.Member != "gdo-3" || b.Phase != PhaseSummary || b.Query != "summary" {
-		t.Errorf("blame = %+v, want summary equivocation against gdo-3", b)
-	}
-	want, err := RunDistributed(survivors, cohort.Reference, DefaultConfig(), CollusionPolicy{})
-	if err != nil {
-		t.Fatalf("survivor baseline: %v", err)
-	}
-	if !rep.Selection.Equal(want.Selection) {
-		t.Errorf("selection %v != survivor baseline %v", rep.Selection, want.Selection)
-	}
-
-	// The blame must have been persisted at the survivors' checkpoint
-	// boundaries, so a further failover would still know about it.
-	st, err := store.Load()
-	if err != nil {
-		t.Fatalf("Load final checkpoint: %v", err)
-	}
-	if len(st.Blamed) != 1 || st.Blamed[0].Kind != BlameEquivocation || st.Blamed[0].Member != "gdo-3" {
-		t.Errorf("checkpointed blame = %+v, want the gdo-3 equivocation", st.Blamed)
+			// The blame must have been persisted at the survivors' checkpoint
+			// boundaries, so a further failover would still know about it.
+			st, err := store.Load()
+			if err != nil {
+				t.Fatalf("Load final checkpoint: %v", err)
+			}
+			if len(st.Blamed) != 1 || st.Blamed[0].Kind != BlameEquivocation || st.Blamed[0].Member != "gdo-3" {
+				t.Errorf("checkpointed blame = %+v, want the gdo-3 equivocation", st.Blamed)
+			}
+		})
 	}
 }
 

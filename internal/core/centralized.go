@@ -47,12 +47,13 @@ func RunCentralized(cohort *genome.Cohort, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("core: centralized enclave cannot hold the pooled genomes: %w", err)
 	}
 
-	report, err := RunAssessment(
+	report, err := Run(
 		[]Provider{NewLocalMember(pooled)},
 		cohort.Reference,
 		cfg,
 		CollusionPolicy{},
 		enc,
+		Options{},
 	)
 	if err != nil {
 		return nil, err
@@ -64,7 +65,7 @@ func RunCentralized(cohort *genome.Cohort, cfg Config) (*Report, error) {
 // RunDistributed executes GenDPR in-process: one Provider per genome data
 // owner shard, a fresh leader enclave for accounting, and the collusion
 // policy applied per phase. The networked middleware in internal/federation
-// drives the identical RunAssessment over encrypted connections.
+// drives the identical Run over encrypted connections.
 func RunDistributed(shards []*genome.Matrix, reference *genome.Matrix, cfg Config, policy CollusionPolicy) (*Report, error) {
 	providers := make([]Provider, len(shards))
 	for i, s := range shards {
@@ -74,5 +75,5 @@ func RunDistributed(shards []*genome.Matrix, reference *genome.Matrix, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	return RunAssessment(providers, reference, cfg, policy, enc)
+	return Run(providers, reference, cfg, policy, enc, Options{})
 }

@@ -15,10 +15,12 @@ import (
 	"gendpr/internal/checkpoint"
 )
 
-// AssessmentOptions extends RunAssessment with cancellation and durability.
-// The zero value reproduces the base protocol exactly: no context checks, no
-// checkpoint reads or writes.
-type AssessmentOptions struct {
+// Options configures one Run: cancellation, checkpoint durability, and
+// quorum degradation with optional Byzantine quarantine and member rejoin.
+// The zero value reproduces the base protocol exactly: one attempt, no
+// context checks, no checkpoint reads or writes, and any member failure
+// aborts the run.
+type Options struct {
 	// Context, when non-nil, cancels the assessment at the next phase
 	// boundary. The error returned is ctx.Err().
 	Context context.Context
@@ -38,14 +40,27 @@ type AssessmentOptions struct {
 	// false so a finished assessment cannot be "resumed".
 	RetainCheckpoints bool
 
-	// blamed carries the resilient runner's accumulated blame records into
-	// the attempt so they persist at every checkpoint boundary and survive a
-	// leader failover.
-	blamed []Blame
-	// auditSummaries challenges every auditable member to reproduce its
-	// checkpointed summary when the run resumes from a seed — the resumed
-	// leader's equivocation probe.
-	auditSummaries bool
+	// MinQuorum is the minimum number of members that must survive for the
+	// assessment to continue after exclusions. Zero (or negative) disables
+	// degradation entirely: any member failure aborts the run, matching the
+	// base protocol.
+	MinQuorum int
+	// Byzantine turns on summary audits when the run resumes from a
+	// checkpoint, whatever the quorum. With a positive MinQuorum it also
+	// enables misbehavior quarantine: a member caught equivocating or
+	// delivering an invalid payload is excluded with a structured blame
+	// record and the assessment re-runs over the survivors, instead of the
+	// whole run aborting.
+	Byzantine bool
+	// AllowRejoin permits a crash-failed member (never one blamed for
+	// misbehavior) one attempt to re-attest and rejoin at the next restart
+	// boundary, after passing a summary audit against its pre-exclusion
+	// answers.
+	AllowRejoin bool
+	// OnTransition, when set, observes membership health transitions: event
+	// is "excluded", "byzantine", or "rejoined", with the member's name (or
+	// formatted index) and the phase the evidence surfaced in.
+	OnTransition func(member, event, phase string)
 }
 
 // Fingerprint binds a checkpoint to one run shape: every input that changes
@@ -101,7 +116,7 @@ type ckState struct {
 	names []string
 	fp    []byte
 	// retain keeps the final snapshot after success (see
-	// AssessmentOptions.RetainCheckpoints).
+	// Options.RetainCheckpoints).
 	retain bool
 
 	// seed is the remapped prior state; nil when starting fresh.

@@ -56,7 +56,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, policy := range []CollusionPolicy{{}, {F: 1}} {
 		baselineProviders, _ := providersFor(shards, []int{0, 1, 2})
-		baseline, err := RunAssessment(baselineProviders, ref, cfg, policy, nil)
+		baseline, err := Run(baselineProviders, ref, cfg, policy, nil, Options{})
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
@@ -69,7 +69,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		for keep := 1; keep <= maxSaves; keep++ {
 			snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: keep}
 			ps, names := providersFor(shards, []int{0, 1, 2})
-			if _, err := RunAssessmentWithOptions(ps, ref, cfg, policy, nil, AssessmentOptions{
+			if _, err := Run(ps, ref, cfg, policy, nil, Options{
 				ProviderNames: names,
 				Checkpoints:   snap,
 			}); err != nil {
@@ -79,7 +79,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			// Resume with the provider slots shuffled: the new leader claims
 			// the checkpoint by identity name, not position.
 			ps2, names2 := providersFor(shards, []int{2, 0, 1})
-			report, err := RunAssessmentWithOptions(ps2, ref, cfg, policy, nil, AssessmentOptions{
+			report, err := Run(ps2, ref, cfg, policy, nil, Options{
 				ProviderNames: names2,
 				Checkpoints:   snap.inner,
 			})
@@ -113,7 +113,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 
 	ps, names := providersFor(shards, []int{0, 1, 2})
 	snap := &snapshotStore{inner: store, keep: 2}
-	if _, err := RunAssessmentWithOptions(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{
+	if _, err := Run(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{
 		ProviderNames: names, Checkpoints: snap,
 	}); err != nil {
 		t.Fatalf("first run: %v", err)
@@ -122,7 +122,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 	altered := DefaultConfig()
 	altered.MAFCutoff = 0.10
 	ps2, names2 := providersFor(shards, []int{0, 1, 2})
-	report, err := RunAssessmentWithOptions(ps2, ref, altered, CollusionPolicy{}, nil, AssessmentOptions{
+	report, err := Run(ps2, ref, altered, CollusionPolicy{}, nil, Options{
 		ProviderNames: names2, Checkpoints: store,
 	})
 	if err != nil {
@@ -132,7 +132,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 		t.Error("run resumed from a checkpoint with a different fingerprint")
 	}
 
-	ctrl, err := RunAssessment(ps2, ref, altered, CollusionPolicy{}, nil)
+	ctrl, err := Run(ps2, ref, altered, CollusionPolicy{}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAssessmentContextCancel(t *testing.T) {
 	ps, _ := providersFor(shards, []int{0, 1, 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunAssessmentWithOptions(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Context: ctx})
+	_, err := Run(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -163,7 +163,7 @@ func TestValidationRejectsTamperedSummaries(t *testing.T) {
 	tampered := &tamperedProvider{Provider: ps[1]}
 	ps[1] = tampered
 
-	_, err := RunAssessmentResilient(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 1})
+	_, err := Run(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{MinQuorum: 1})
 	if err == nil {
 		t.Fatal("tampered counts were accepted")
 	}

@@ -36,9 +36,9 @@ func runWithProviders(t *testing.T, shards []*genome.Matrix, ref *genome.Matrix,
 			providers[i] = NewLocalMember(s)
 		}
 	}
-	rep, err := RunAssessment(providers, ref, cfg, policy, nil)
+	rep, err := Run(providers, ref, cfg, policy, nil, Options{})
 	if err != nil {
-		t.Fatalf("RunAssessment(patternless=%v): %v", patternless, err)
+		t.Fatalf("Run(patternless=%v): %v", patternless, err)
 	}
 	return rep
 }
@@ -214,7 +214,7 @@ func TestLatticeResumeConservativeParallel(t *testing.T) {
 		}
 		return ps
 	}
-	baseline, err := RunAssessment(mk(), cohort.Reference, cfg, policy, nil)
+	baseline, err := Run(mk(), cohort.Reference, cfg, policy, nil, Options{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -228,13 +228,13 @@ func TestLatticeResumeConservativeParallel(t *testing.T) {
 	// Crash after the MAF save, mid-sweep, and after the last combination.
 	for _, keep := range []int{1, 3, 2 + len(subsets)/2, 2 + len(subsets)} {
 		snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: keep}
-		if _, err := RunAssessmentWithOptions(mk(), cohort.Reference, cfg, policy, nil, AssessmentOptions{
+		if _, err := Run(mk(), cohort.Reference, cfg, policy, nil, Options{
 			ProviderNames: names,
 			Checkpoints:   snap,
 		}); err != nil {
 			t.Fatalf("keep %d: first run: %v", keep, err)
 		}
-		report, err := RunAssessmentWithOptions(mk(), cohort.Reference, parCfg, policy, nil, AssessmentOptions{
+		report, err := Run(mk(), cohort.Reference, parCfg, policy, nil, Options{
 			ProviderNames: names,
 			Checkpoints:   snap.inner,
 		})

@@ -219,11 +219,6 @@ func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64)
 	return m, nil
 }
 
-// cachedProvider memoizes member responses so that, as the paper describes,
-// each GDO computes and transmits each intermediate result once even when
-// the leader evaluates many collusion combinations over it. It is safe for
-// concurrent use: the assessment driver queries members (and, in parallel-
-// combination mode, combinations) concurrently.
 // pairKey packs a column pair into one word. The pair maps are the LD
 // phase's hottest data structure — one probe per announced pair per member —
 // and an 8-byte key hashes and compares in registers where the [2]int form
@@ -231,6 +226,13 @@ func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64)
 // non-negative and far below 2³², so the packing is lossless.
 func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
+// cachedProvider memoizes member responses so that, as the paper describes,
+// each GDO computes and transmits each intermediate result once even when
+// the leader evaluates many collusion combinations over it — and, because
+// Run wraps each member once for the whole call, even when a quorum restart
+// re-runs the phases over the survivors. It is safe for concurrent use: the
+// assessment driver queries members (and, in parallel-combination mode,
+// combinations) concurrently.
 type cachedProvider struct {
 	inner Provider
 
@@ -249,8 +251,6 @@ type cachedProvider struct {
 	patCols []int
 	pattern *lrtest.BitMatrix
 }
-
-var _ BatchPairProvider = (*cachedProvider)(nil)
 
 func newCachedProvider(p Provider) *cachedProvider {
 	return &cachedProvider{inner: p, pairs: make(map[uint64]genome.PairStats)}
@@ -373,26 +373,6 @@ func (c *cachedProvider) Prefetch(pairs [][2]int) error {
 	return nil
 }
 
-// PairStatsBatch implements BatchPairProvider by serving from the cache after
-// a prefetch. Without it, stacking cached providers — the resilient driver
-// wraps once so survivor data replays across restarts, then the assessment
-// driver wraps again — would hide the inner provider's batching capability
-// and silently downgrade the LD phase to one request per pair.
-func (c *cachedProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
-	if err := c.Prefetch(pairs); err != nil {
-		return nil, err
-	}
-	out := make([]genome.PairStats, len(pairs))
-	for i, p := range pairs {
-		s, err := c.PairStats(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // cachedPair returns a pair's statistics when they are already cached. The
 // LD scan's hot loop asks every member for mostly-prefetched pairs; hitting
 // the cache synchronously avoids a goroutine dispatch per member per pair.
@@ -408,22 +388,6 @@ func (c *cachedProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrt
 	// so they are not cached; each is requested exactly once per
 	// combination anyway.
 	return c.inner.LRMatrix(cols, caseFreq, refFreq)
-}
-
-// supportsPatterns reports whether the wrapped provider can ship genotype
-// bit-patterns. The probe recurses through nested cachedProviders: the
-// resilient driver wraps a member once so survivor data replays across
-// restarts, and the assessment driver wraps again — the capability must shine
-// through both layers.
-func (c *cachedProvider) supportsPatterns() bool {
-	switch p := c.inner.(type) {
-	case *cachedProvider:
-		return p.supportsPatterns()
-	case PatternProvider:
-		return true
-	default:
-		return false
-	}
 }
 
 // LRPattern implements PatternProvider over the single-slot pattern cache.
@@ -501,10 +465,8 @@ func (c *cachedProvider) snapshotPairs() ([][2]int, []genome.PairStats) {
 	return keys, out
 }
 
-// AuditSummary implements SummaryAuditor by forwarding through the cache to
-// the wrapped provider — stacked cachedProviders recurse until a real auditor
-// (or its absence) is found, so the capability shines through both wrapping
-// layers just like batching and patterns do.
+// AuditSummary implements SummaryAuditor by forwarding past the cache to the
+// wrapped provider.
 func (c *cachedProvider) AuditSummary() ([]int64, int64, error) {
 	if a, ok := c.inner.(SummaryAuditor); ok {
 		return a.AuditSummary()

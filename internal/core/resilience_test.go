@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"gendpr/internal/genome"
@@ -88,9 +89,9 @@ func TestResilientDegradesPerPhase(t *testing.T) {
 	for _, phase := range []string{PhaseSummary, PhaseLD, PhaseLR} {
 		t.Run(phase, func(t *testing.T) {
 			providers, ref, want := resilienceFixture(t, 1, phase, false)
-			rep, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 2})
+			rep, err := Run(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{MinQuorum: 2})
 			if err != nil {
-				t.Fatalf("RunAssessmentResilient: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if len(rep.Excluded) != 1 || rep.Excluded[0] != 1 {
 				t.Fatalf("Excluded = %v, want [1]", rep.Excluded)
@@ -104,7 +105,7 @@ func TestResilientDegradesPerPhase(t *testing.T) {
 
 func TestResilientFatalErrorAborts(t *testing.T) {
 	providers, ref, _ := resilienceFixture(t, 2, PhaseLD, true)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 2})
+	_, err := Run(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{MinQuorum: 2})
 	if err == nil {
 		t.Fatal("expected a run-fatal error")
 	}
@@ -119,7 +120,7 @@ func TestResilientFatalErrorAborts(t *testing.T) {
 
 func TestResilientQuorumLost(t *testing.T) {
 	providers, ref, _ := resilienceFixture(t, 0, PhaseSummary, false)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 4})
+	_, err := Run(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{MinQuorum: 4})
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("error = %v, want ErrQuorumLost", err)
 	}
@@ -127,7 +128,7 @@ func TestResilientQuorumLost(t *testing.T) {
 
 func TestResilientDisabledMatchesBase(t *testing.T) {
 	providers, ref, _ := resilienceFixture(t, 3, PhaseLR, false)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{})
+	_, err := Run(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Options{})
 	if err == nil {
 		t.Fatal("expected the member failure to abort with degradation disabled")
 	}
@@ -148,7 +149,7 @@ func TestResilientPolicyUnsatisfiableOverSurvivors(t *testing.T) {
 	}
 	// Conservative collusion tolerance needs >= 2 members; degrading to 1
 	// must abort rather than silently weakening the policy.
-	_, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{Conservative: true}, nil, Resilience{MinQuorum: 1})
+	_, err := Run(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{Conservative: true}, nil, Options{MinQuorum: 1})
 	if err == nil {
 		t.Fatal("expected policy-unsatisfiable error")
 	}
@@ -171,9 +172,9 @@ func TestResilientWithCollusionPolicy(t *testing.T) {
 		survivors = append(survivors, s)
 	}
 	policy := CollusionPolicy{F: 1}
-	rep, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), policy, nil, Resilience{MinQuorum: 2})
+	rep, err := Run(providers, cohort.Reference, DefaultConfig(), policy, nil, Options{MinQuorum: 2})
 	if err != nil {
-		t.Fatalf("RunAssessmentResilient: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(rep.Excluded) != 1 || rep.Excluded[0] != 2 {
 		t.Fatalf("Excluded = %v, want [2]", rep.Excluded)
@@ -187,6 +188,81 @@ func TestResilientWithCollusionPolicy(t *testing.T) {
 	}
 	if rep.Combinations != want.Combinations {
 		t.Errorf("combinations = %d, want %d (re-enumerated over survivors)", rep.Combinations, want.Combinations)
+	}
+}
+
+// queryLog wraps a LocalMember and counts every query the leader sends it,
+// keyed by the query itself, so a test can assert none arrives twice.
+type queryLog struct {
+	*LocalMember
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (q *queryLog) note(key string) {
+	q.mu.Lock()
+	q.seen[key]++
+	q.mu.Unlock()
+}
+
+func (q *queryLog) Counts() ([]int64, error) {
+	q.note("counts")
+	return q.LocalMember.Counts()
+}
+
+func (q *queryLog) PairStats(a, b int) (genome.PairStats, error) {
+	q.note(fmt.Sprintf("pair %d,%d", a, b))
+	return q.LocalMember.PairStats(a, b)
+}
+
+func (q *queryLog) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
+	for _, p := range pairs {
+		q.note(fmt.Sprintf("pair %d,%d", p[0], p[1]))
+	}
+	return q.LocalMember.PairStatsBatch(pairs)
+}
+
+func (q *queryLog) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
+	q.note(fmt.Sprintf("pattern %v", cols))
+	return q.LocalMember.LRPattern(cols)
+}
+
+// TestResilientRestartAsksSurvivorsOnce pins the single response cache per
+// member: a Phase 3 failure restarts the assessment over the survivors, and
+// the restart replays every answer a survivor already gave from memory
+// instead of asking it again.
+func TestResilientRestartAsksSurvivorsOnce(t *testing.T) {
+	cohort := testCohort(t, 120, 320, 29)
+	shards := shardsOf(t, cohort, 4)
+	const bad = 2
+	providers := make([]Provider, len(shards))
+	logs := make(map[int]*queryLog)
+	for i, s := range shards {
+		if i == bad {
+			providers[i] = &phaseFaultProvider{LocalMember: NewLocalMember(s), failPhase: PhaseLR}
+			continue
+		}
+		logs[i] = &queryLog{LocalMember: NewLocalMember(s), seen: make(map[string]int)}
+		providers[i] = logs[i]
+	}
+	rep, err := Run(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, Options{MinQuorum: 2})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(rep.Excluded) != 1 || rep.Excluded[0] != bad {
+		t.Fatalf("Excluded = %v, want [%d]", rep.Excluded, bad)
+	}
+	for i, q := range logs {
+		q.mu.Lock()
+		if q.seen["counts"] != 1 {
+			t.Errorf("member %d: counts asked %d times, want 1", i, q.seen["counts"])
+		}
+		for key, n := range q.seen {
+			if n > 1 {
+				t.Errorf("member %d: %q asked %d times across the restart", i, key, n)
+			}
+		}
+		q.mu.Unlock()
 	}
 }
 

@@ -96,7 +96,7 @@ type Report struct {
 	PerCombination []Selection
 	// Excluded lists the members (by their original indices) that failed and
 	// were excluded under quorum degradation. Empty for a full-membership
-	// run; only ever populated by RunAssessmentResilient.
+	// run; only ever populated when Options.MinQuorum is positive.
 	Excluded []int
 	// Resumed reports that at least one phase was replayed from a checkpoint
 	// instead of recomputed — set when a (re-elected or restarted) leader
@@ -105,7 +105,7 @@ type Report struct {
 	// Blamed holds the structured misbehavior attributions collected during
 	// the run: one record per quarantined contribution (equivocation or
 	// invalid payload), carried across restarts and checkpoints. Only ever
-	// populated by Byzantine-aware resilient runs.
+	// populated by Byzantine-aware runs (Options.Byzantine).
 	Blamed []Blame
 	// Rejoined lists the members (by their original indices) that were
 	// excluded mid-run and later re-admitted at a phase boundary after

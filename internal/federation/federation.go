@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 
+	"gendpr/internal/checkpoint"
 	"gendpr/internal/core"
 	"gendpr/internal/enclave"
 	"gendpr/internal/enclave/attest"
@@ -36,7 +37,7 @@ type Result struct {
 	Rejoined []int
 	// FormerLeaders lists, oldest first, the shard positions of leaders that
 	// died mid-run and were replaced by re-election before this result was
-	// produced. Empty unless the failover runner had to re-elect.
+	// produced. Empty unless the runner had to re-elect.
 	FormerLeaders []int
 }
 
@@ -83,36 +84,6 @@ func randomNonces(g int) ([][]byte, error) {
 	return nonces, nil
 }
 
-// electedLeader runs the shared setup of both runners: authority, election,
-// and leader construction.
-func electedLeader(shards []*genome.Matrix) (*Leader, *attest.Authority, int, error) {
-	g := len(shards)
-	if g == 0 {
-		return nil, nil, 0, core.ErrNoMembers
-	}
-	authority, err := attest.NewAuthority()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("federation: %w", err)
-	}
-	nonces, err := randomNonces(g)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	leaderIdx, err := ElectLeader(nonces, g)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	leaderPlatform, err := enclave.NewPlatform()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("federation: %w", err)
-	}
-	leader, err := NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], leaderPlatform, authority)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return leader, authority, leaderIdx, nil
-}
-
 // assembleResult maps the leader's report back to shard positions.
 func assembleResult(report *core.Report, leaderIdx int, g int, members []*Member, memberShards []int, meters []*transport.Meter, shards []*genome.Matrix) *Result {
 	res := &Result{
@@ -139,130 +110,269 @@ func assembleResult(report *core.Report, leaderIdx int, g int, members []*Member
 	return res
 }
 
+// ErrNoElectableLeader is returned when every candidate leader has died and
+// nobody is left to coordinate the assessment.
+var ErrNoElectableLeader = errors.New("federation: every candidate leader has failed")
+
 // RunInProcess assembles a complete federation inside one process: one
 // platform and enclave per shard, random leader election, attested in-memory
 // channels, and a full protocol run. It is the reference deployment used by
-// tests, examples and benchmarks; RunOverTCP exercises the same nodes across
-// real sockets.
-func RunInProcess(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy) (*Result, error) {
-	return runInProcess(shards, reference, cfg, policy, RunOptions{}, true)
+// tests, examples and benchmarks; RunOverTCP runs the same nodes across real
+// sockets.
+//
+// opts sets the fault-tolerance envelope. Without any fault-tolerance option
+// the run is the base protocol: the leader never redials a member, and a
+// member's serving error fails the run. With one (a deadline, retries, a
+// quorum, Byzantine handling, rejoin, or an event observer) the leader may
+// redial a dropped channel — a fresh pipe and serving goroutine, re-attested
+// — and member serving errors do not fail the run: the leader's report,
+// including its excluded-member list, is authoritative.
+//
+// The runner is also the Section 5.2 leader-failover loop: should the
+// elected leader die mid-run, the survivors re-run the committed-nonce
+// election among themselves — a dead leader is struck from the electable
+// set, though its restarted node keeps contributing its shard as an ordinary
+// member — and the new leader resumes from opts.Checkpoints rather than
+// recomputing completed phases. Nothing kills a leader inside one process,
+// so a run makes one attempt unless the chaos harness schedules a death.
+func RunInProcess(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
+	return runFederation(shards, reference, cfg, policy, opts, pipeLinker, runHooks{})
 }
 
-// RunInProcessWithOptions is RunInProcess under the fault-tolerance options:
-// deadlines on every exchange, automatic re-establishment of dropped member
-// channels (a fresh pipe and serving goroutine, re-attested), and quorum
-// degradation. Member serving errors do not fail the run — the leader's
-// report, including its excluded-member list, is authoritative.
-func RunInProcessWithOptions(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runInProcess(shards, reference, cfg, policy, opts, false)
+// RunOverTCP runs the same federation across loopback TCP sockets: each
+// member listens on an ephemeral port and keeps accepting connections until
+// it serves a clean shutdown or its listener closes, so a leader redial after
+// a connection drop reaches a live serving loop.
+func RunOverTCP(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
+	return runFederation(shards, reference, cfg, policy, opts, tcpLinker, runHooks{})
 }
 
-// faultInjector optionally wraps the leader end of each member channel; the
-// chaos harness installs one via the package-internal test hook.
+// faultInjector wraps the leader end of a member channel, below attestation
+// and encryption, so injected faults exercise the full recovery path
+// including re-attestation.
 type faultInjector func(shardIdx int, conn transport.Conn) transport.Conn
 
-// memberPrep optionally adjusts a freshly built member node before it starts
-// serving — the chaos harness uses it to install a Byzantine provider
-// wrapper via Member.WrapProvider. Production runs pass nil.
+// memberPrep adjusts a freshly built member node before it starts serving —
+// the chaos harness installs a Byzantine provider wrapper with it via
+// Member.WrapProvider.
 type memberPrep func(shardIdx int, m *Member)
 
-func runInProcess(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool) (*Result, error) {
-	return runInProcessInjected(shards, reference, cfg, policy, opts, strict, nil)
+// failoverHook may wrap one attempt's checkpoint store, and it receives the
+// cancel function that stands in for that attempt's leader process dying.
+type failoverHook func(attempt, leaderIdx int, cancel context.CancelFunc, store checkpoint.Store) checkpoint.Store
+
+// runHooks are the chaos harness's interception points; production runs
+// pass the zero value.
+type runHooks struct {
+	inject   faultInjector
+	prep     memberPrep
+	failover failoverHook
 }
 
-// runInProcessInjected is runInProcess with a fault-injection hook on the
-// leader-side connections (nil for production use). Injectors wrap the raw
-// end, below attestation and encryption, so injected faults exercise the
-// full recovery path including re-attestation.
-func runInProcessInjected(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool, inject faultInjector) (*Result, error) {
-	return runInProcessPrepared(shards, reference, cfg, policy, opts, strict, inject, nil)
+// linker starts serving member m for one attempt and returns how the leader
+// dials it: a fresh in-memory pipe per dial, or a loopback TCP connection.
+type linker func(s *sessions, m *Member, opts RunOptions) (func() (transport.Conn, error), error)
+
+// sessions tracks the member side of one attempt: the serving goroutines the
+// attempt waits for, the listeners it closes, and the serving errors.
+type sessions struct {
+	wg        sync.WaitGroup
+	mu        sync.Mutex
+	errs      []error
+	listeners []*transport.Listener
 }
 
-// runInProcessPrepared is runInProcessInjected with an additional member
-// preparation hook, the deepest of the chaos-harness entry points.
-func runInProcessPrepared(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool, inject faultInjector, prep memberPrep) (*Result, error) {
-	leader, authority, leaderIdx, err := electedLeader(shards)
+func (s *sessions) record(err error) {
+	s.mu.Lock()
+	s.errs = append(s.errs, err)
+	s.mu.Unlock()
+}
+
+// pipeLinker dials a member through in-memory pipes: each dial is a fresh
+// pipe whose far end a new goroutine serves, so a reconnecting leader talks
+// to a live serving loop with fresh AEAD state.
+func pipeLinker(s *sessions, m *Member, _ RunOptions) (func() (transport.Conn, error), error) {
+	return func() (transport.Conn, error) {
+		leaderEnd, memberEnd := transport.Pipe()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			if err := m.Serve(memberEnd); err != nil {
+				s.record(err)
+			}
+		}()
+		return leaderEnd, nil
+	}, nil
+}
+
+// tcpLinker dials a member across a loopback listener with one accept loop:
+// it serves connection after connection and stops once a session ends in a
+// clean shutdown or the listener closes.
+func tcpLinker(s *sessions, m *Member, opts RunOptions) (func() (transport.Conn, error), error) {
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	return runWithLeader(nil, leader, authority, leaderIdx, shards, reference, cfg, policy, opts, strict, inject, prep)
+	s.listeners = append(s.listeners, l)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			err = m.Serve(conn)
+			_ = conn.Close()
+			if err == nil {
+				return
+			}
+			s.record(err)
+		}
+	}()
+	return func() (transport.Conn, error) {
+		return transport.DialTimeout(l.Addr(), opts.dialTimeout())
+	}, nil
 }
 
-// runWithLeader executes one in-process federation run under an
-// already-elected leader: it spawns the member nodes, wires the pipes, and
-// drives the protocol. The failover runner calls it repeatedly — once per
-// elected leader — with a cancellable context standing in for the leader's
-// process lifetime.
-func runWithLeader(ctx context.Context, leader *Leader, authority *attest.Authority, leaderIdx int, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool, inject faultInjector, prep memberPrep) (*Result, error) {
+// runFederation is the body both runners share: the election loop, and per
+// attempt the member nodes, their links, and the leader's protocol run.
+func runFederation(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, connect linker, hooks runHooks) (*Result, error) {
 	g := len(shards)
+	if g == 0 {
+		return nil, core.ErrNoMembers
+	}
+	authority, err := attest.NewAuthority()
+	if err != nil {
+		return nil, fmt.Errorf("federation: %w", err)
+	}
+	dead := make(map[int]bool, g)
+	var former []int
+	for attempt := 0; ; attempt++ {
+		// The Section 5.2 election over the surviving candidates. The shard
+		// identities (and with them the checkpoint fingerprint) stay fixed;
+		// only who coordinates changes.
+		electable := make([]int, 0, g)
+		for i := 0; i < g; i++ {
+			if !dead[i] {
+				electable = append(electable, i)
+			}
+		}
+		if len(electable) == 0 {
+			return nil, ErrNoElectableLeader
+		}
+		nonces, err := randomNonces(len(electable))
+		if err != nil {
+			return nil, err
+		}
+		idx, err := ElectLeader(nonces, len(electable))
+		if err != nil {
+			return nil, err
+		}
+		leaderIdx := electable[idx]
+		platform, err := enclave.NewPlatform()
+		if err != nil {
+			return nil, fmt.Errorf("federation: %w", err)
+		}
+		leader, err := NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], platform, authority)
+		if err != nil {
+			return nil, err
+		}
 
+		ctx, cancel := context.WithCancel(context.Background())
+		attemptOpts := opts
+		if hooks.failover != nil {
+			attemptOpts.Checkpoints = hooks.failover(attempt, leaderIdx, cancel, opts.Checkpoints)
+		}
+		res, err := runAttempt(ctx, leader, authority, leaderIdx, shards, reference, cfg, policy, attemptOpts, connect, hooks)
+		cancel()
+		if err == nil {
+			res.FormerLeaders = former
+			return res, nil
+		}
+		if !errors.Is(err, context.Canceled) {
+			return nil, err
+		}
+		// The leader died mid-run: strike it from the electable set, keep its
+		// checkpoints, and let the survivors elect a successor.
+		dead[leaderIdx] = true
+		former = append(former, leaderIdx)
+	}
+}
+
+// runAttempt executes one federation run under an already-elected leader:
+// it starts the member nodes, links them, and drives the protocol, with ctx
+// standing in for the leader's process lifetime.
+func runAttempt(ctx context.Context, leader *Leader, authority *attest.Authority, leaderIdx int, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, connect linker, hooks runHooks) (*Result, error) {
+	g := len(shards)
+	s := &sessions{}
 	var (
-		wg           sync.WaitGroup
-		mu           sync.Mutex
-		serveErrs    []error
 		members      = make([]*Member, 0, g-1)
 		memberShards = make([]int, 0, g-1)
 		links        = make([]MemberLink, 0, g-1)
 		meters       = make([]*transport.Meter, g)
 	)
-	for i := 0; i < g; i++ {
-		if i == leaderIdx {
-			continue
-		}
-		platform, err := enclave.NewPlatform()
-		if err != nil {
-			return nil, fmt.Errorf("federation: %w", err)
-		}
-		member, err := NewMember(fmt.Sprintf("gdo-%d", i), shards[i], platform, authority)
-		if err != nil {
-			return nil, err
-		}
-		if prep != nil {
-			prep(i, member)
-		}
-		members = append(members, member)
-		memberShards = append(memberShards, i)
-		meters[i] = &transport.Meter{}
-
-		// spawn creates one attestable channel to this member: a fresh pipe
-		// whose far end is served by a new goroutine. The initial connection
-		// and every redial go through it, so a reconnecting leader talks to
-		// a live serving loop with fresh AEAD state.
-		meter, shardIdx := meters[i], i
-		spawn := func() transport.Conn {
-			leaderEnd, memberEnd := transport.Pipe()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := member.Serve(memberEnd); err != nil {
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-				}
-			}()
-			conn := transport.NewMetered(leaderEnd, meter)
-			if inject != nil {
-				conn = inject(shardIdx, conn)
+	report, err := func() (*core.Report, error) {
+		for i := 0; i < g; i++ {
+			if i == leaderIdx {
+				continue
 			}
-			return conn
+			platform, err := enclave.NewPlatform()
+			if err != nil {
+				return nil, fmt.Errorf("federation: %w", err)
+			}
+			member, err := NewMember(fmt.Sprintf("gdo-%d", i), shards[i], platform, authority)
+			if err != nil {
+				return nil, err
+			}
+			if hooks.prep != nil {
+				hooks.prep(i, member)
+			}
+			dial, err := connect(s, member, opts)
+			if err != nil {
+				return nil, err
+			}
+			members = append(members, member)
+			memberShards = append(memberShards, i)
+			meter, shardIdx := &transport.Meter{}, i
+			meters[i] = meter
+			open := func() (transport.Conn, error) {
+				raw, err := dial()
+				if err != nil {
+					return nil, err
+				}
+				var conn transport.Conn = transport.NewMetered(raw, meter)
+				if hooks.inject != nil {
+					conn = hooks.inject(shardIdx, conn)
+				}
+				return conn, nil
+			}
+			conn, err := open()
+			if err != nil {
+				return nil, err
+			}
+			link := MemberLink{Conn: conn, Name: member.ID()}
+			if opts.faultAware() {
+				link.Redial = open
+			}
+			links = append(links, link)
 		}
-		link := MemberLink{Conn: spawn(), Name: member.ID()}
-		if !strict {
-			link.Redial = func() (transport.Conn, error) { return spawn(), nil }
-		}
-		links = append(links, link)
-	}
-
-	report, runErr := leader.RunLinksContext(ctx, links, reference, cfg, policy, opts)
+		return leader.Run(ctx, links, reference, cfg, policy, opts)
+	}()
+	// Closing the leader ends and the listeners ends every serving session,
+	// so the wait returns on every path, early failures included.
 	for _, l := range links {
 		_ = l.Conn.Close()
 	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
+	for _, l := range s.listeners {
+		_ = l.Close()
 	}
-	if strict && len(serveErrs) > 0 {
-		return nil, errors.Join(serveErrs...)
+	s.wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	if !opts.faultAware() && len(s.errs) > 0 {
+		return nil, errors.Join(s.errs...)
 	}
 	return assembleResult(report, leaderIdx, g, members, memberShards, meters, shards), nil
 }
@@ -285,139 +395,4 @@ func trafficStats(meters []*transport.Meter, shards []*genome.Matrix, leaderIdx 
 		}
 	}
 	return stats
-}
-
-// RunOverTCP runs the same federation across loopback TCP sockets: each
-// member listens on an ephemeral port and serves one leader connection.
-func RunOverTCP(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy) (*Result, error) {
-	return runOverTCP(shards, reference, cfg, policy, RunOptions{}, true)
-}
-
-// RunOverTCPWithOptions is RunOverTCP under the fault-tolerance options.
-// Each member keeps accepting connections until it serves a clean shutdown
-// or its listener closes, so a leader redial after a connection drop reaches
-// a live serving loop.
-func RunOverTCPWithOptions(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runOverTCP(shards, reference, cfg, policy, opts, false)
-}
-
-func runOverTCP(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool) (*Result, error) {
-	g := len(shards)
-	leader, authority, leaderIdx, err := electedLeader(shards)
-	if err != nil {
-		return nil, err
-	}
-
-	var (
-		wg           sync.WaitGroup
-		mu           sync.Mutex
-		serveErrs    []error
-		members      = make([]*Member, 0, g-1)
-		memberShards = make([]int, 0, g-1)
-		links        = make([]MemberLink, 0, g-1)
-		listeners    = make([]*transport.Listener, 0, g-1)
-		meters       = make([]*transport.Meter, g)
-	)
-	defer func() {
-		for _, l := range listeners {
-			_ = l.Close()
-		}
-	}()
-
-	for i := 0; i < g; i++ {
-		if i == leaderIdx {
-			continue
-		}
-		platform, err := enclave.NewPlatform()
-		if err != nil {
-			return nil, fmt.Errorf("federation: %w", err)
-		}
-		member, err := NewMember(fmt.Sprintf("gdo-%d", i), shards[i], platform, authority)
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, member)
-		memberShards = append(memberShards, i)
-
-		listener, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners = append(listeners, listener)
-		wg.Add(1)
-		if strict {
-			// Legacy behavior: one connection, one serving session.
-			go func(m *Member, l *transport.Listener) {
-				defer wg.Done()
-				conn, err := l.Accept()
-				if err != nil {
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-					return
-				}
-				defer conn.Close()
-				if err := m.Serve(conn); err != nil {
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-				}
-			}(member, listener)
-		} else {
-			// Resilient behavior: keep accepting so the leader can redial
-			// after a drop; stop once a session ends in a clean shutdown or
-			// the listener closes.
-			go func(m *Member, l *transport.Listener) {
-				defer wg.Done()
-				for {
-					conn, err := l.Accept()
-					if err != nil {
-						return
-					}
-					err = m.Serve(conn)
-					_ = conn.Close()
-					if err == nil {
-						return
-					}
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-				}
-			}(member, listener)
-		}
-
-		conn, err := transport.DialTimeout(listener.Addr(), opts.dialTimeout())
-		if err != nil {
-			return nil, err
-		}
-		meters[i] = &transport.Meter{}
-		addr, meter := listener.Addr(), meters[i]
-		link := MemberLink{Conn: transport.NewMetered(conn, meter), Name: member.ID()}
-		if !strict {
-			link.Redial = func() (transport.Conn, error) {
-				c, err := transport.DialTimeout(addr, opts.dialTimeout())
-				if err != nil {
-					return nil, err
-				}
-				return transport.NewMetered(c, meter), nil
-			}
-		}
-		links = append(links, link)
-	}
-
-	report, runErr := leader.RunLinks(links, reference, cfg, policy, opts)
-	for _, l := range links {
-		_ = l.Conn.Close()
-	}
-	for _, l := range listeners {
-		_ = l.Close()
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if strict && len(serveErrs) > 0 {
-		return nil, errors.Join(serveErrs...)
-	}
-	return assembleResult(report, leaderIdx, g, members, memberShards, meters, shards), nil
 }

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -76,7 +77,7 @@ func TestInProcessFederationMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(shards, cohort.Reference, cfg, core.CollusionPolicy{})
+	res, err := RunInProcess(shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunInProcess: %v", err)
 	}
@@ -110,7 +111,7 @@ func TestInProcessFederationWithCollusionPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{F: 1})
+	res, err := RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{F: 1}, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunInProcess: %v", err)
 	}
@@ -144,11 +145,11 @@ func TestFederationParallelCombinations(t *testing.T) {
 	parCfg.ParallelCombinations = true
 	policy := core.CollusionPolicy{Conservative: true}
 
-	seq, err := RunInProcess(shards, cohort.Reference, seqCfg, policy)
+	seq, err := RunInProcess(shards, cohort.Reference, seqCfg, policy, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunInProcess(shards, cohort.Reference, parCfg, policy)
+	par, err := RunInProcess(shards, cohort.Reference, parCfg, policy, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,11 @@ func TestTCPFederationMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	overTCP, err := RunOverTCP(shards, cohort.Reference, cfg, core.CollusionPolicy{})
+	overTCP, err := RunOverTCP(shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunOverTCP: %v", err)
 	}
-	inProc, err := RunInProcess(shards, cohort.Reference, cfg, core.CollusionPolicy{})
+	inProc, err := RunInProcess(shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestFederationTrafficAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+	res, err := RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestAttestationRejectsForeignAuthority(t *testing.T) {
 			t.Error("member accepted a quote from a foreign authority")
 		}
 	}()
-	_, err = leader.Run([]transport.Conn{leaderEnd}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+	_, err = leader.Run(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "0"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
 	if err == nil {
 		t.Fatal("leader accepted a quote from a foreign authority")
 	}
@@ -384,7 +385,7 @@ func TestLeaderSurfacesMemberDropout(t *testing.T) {
 		memberEnd.Close() // crash immediately after the handshake
 	}()
 
-	_, err = leader.Run([]transport.Conn{leaderEnd}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+	_, err = leader.Run(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "0"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
 	if err == nil {
 		t.Fatal("leader completed despite member dropout")
 	}
@@ -408,7 +409,7 @@ func TestLeaderRejectsUnattestedPeer(t *testing.T) {
 		}
 		_ = peerEnd.Send(transport.Message{Kind: KindCountsReply, Payload: []byte("junk")})
 	}()
-	if _, err := leader.Run([]transport.Conn{leaderEnd}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}); !errors.Is(err, ErrProtocol) {
+	if _, err := leader.Run(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "0"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("unattested peer: %v, want protocol violation", err)
 	}
 }
@@ -426,7 +427,7 @@ func TestNewMemberValidation(t *testing.T) {
 
 func TestRunInProcessEmpty(t *testing.T) {
 	cohort := testCohort(t, 10, 10, 1)
-	if _, err := RunInProcess(nil, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}); !errors.Is(err, core.ErrNoMembers) {
+	if _, err := RunInProcess(nil, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{}); !errors.Is(err, core.ErrNoMembers) {
 		t.Fatalf("got %v, want ErrNoMembers", err)
 	}
 }

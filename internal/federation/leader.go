@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 // ErrMemberReported marks an error the member itself computed and reported
 // via KindError. These are deterministic — a malformed request or tampered
 // payload fails the same way on every retry — so the leader never retries
-// them and the resilient runner treats them as run-fatal.
+// them and core.Run's quorum loop treats them as run-fatal.
 var ErrMemberReported = errors.New("federation: member reported an error")
 
 // Leader is the randomly elected coordinator GDO. Like every member it holds
@@ -63,36 +62,23 @@ type MemberLink struct {
 
 // Run attests every member connection, executes the assessment over the
 // federation (leader shard plus remote members), broadcasts the final
-// selection, and shuts the members down. The raw connections are owned by
-// the caller and are not closed. It is RunLinks with the zero RunOptions:
-// no deadlines, no retries, abort on any member failure.
-func (l *Leader) Run(memberConns []transport.Conn, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy) (*core.Report, error) {
-	links := make([]MemberLink, len(memberConns))
-	for i, c := range memberConns {
-		links[i] = MemberLink{Conn: c, Name: strconv.Itoa(i)}
-	}
-	return l.RunLinks(links, reference, cfg, policy, RunOptions{})
-}
-
-// RunLinks is Run with explicit fault-tolerance options: per-exchange
-// deadlines, retry with redial and re-attestation, and quorum degradation.
-// Connections the leader itself re-establishes via link.Redial are closed
-// before returning; the initial link connections stay owned by the caller.
+// selection, and shuts the members down. opts sets the fault-tolerance
+// envelope: per-exchange deadlines, retry with redial and re-attestation, and
+// quorum degradation. The initial link connections are owned by the caller
+// and are not closed; connections the leader itself re-establishes via
+// link.Redial are closed before returning.
+//
+// Canceling ctx interrupts in-flight member exchanges and retry backoffs,
+// and the assessment aborts at the next phase boundary with ctx.Err(); a nil
+// or never-canceled context never interrupts the run. When opts.Checkpoints
+// is set, link names are the stable identities the checkpoint is keyed by,
+// so a re-elected leader resuming a crashed run must address members by the
+// same names.
 //
 // When opts.MinQuorum is positive, the returned Report may list excluded
 // members in Report.Excluded; entries are provider indices where 0 is the
 // leader's own shard and i+1 is links[i].
-func (l *Leader) RunLinks(links []MemberLink, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*core.Report, error) {
-	return l.RunLinksContext(nil, links, reference, cfg, policy, opts)
-}
-
-// RunLinksContext is RunLinks under a context: cancellation interrupts
-// in-flight member exchanges and retry backoffs, and the assessment aborts at
-// the next phase boundary with ctx.Err(). A nil or never-canceled context
-// reproduces RunLinks exactly. When opts.Checkpoints is set, link names are
-// the stable identities the checkpoint is keyed by, so a re-elected leader
-// resuming a crashed run must address members by the same names.
-func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*core.Report, error) {
+func (l *Leader) Run(ctx context.Context, links []MemberLink, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*core.Report, error) {
 	remotes := make([]*remoteProvider, len(links))
 	for i, link := range links {
 		r := &remoteProvider{
@@ -147,13 +133,17 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 	for _, r := range remotes {
 		byName[r.name] = r
 	}
-	resilience := core.Resilience{
-		MinQuorum:   opts.MinQuorum,
-		Byzantine:   opts.Byzantine,
-		AllowRejoin: opts.AllowRejoin,
+	copts := core.Options{
+		Context:           ctx,
+		ProviderNames:     names,
+		Checkpoints:       opts.Checkpoints,
+		RetainCheckpoints: opts.RetainCheckpoints,
+		MinQuorum:         opts.MinQuorum,
+		Byzantine:         opts.Byzantine,
+		AllowRejoin:       opts.AllowRejoin,
 	}
 	if opts.Byzantine || opts.AllowRejoin || opts.OnEvent != nil {
-		resilience.OnTransition = func(member, event, phase string) {
+		copts.OnTransition = func(member, event, phase string) {
 			if event == "byzantine" {
 				// Quarantine the connection too: the result broadcast must
 				// skip it and a rejoin attempt must be refused even if the
@@ -169,10 +159,7 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 		}
 	}
 
-	report, err := core.RunAssessmentResilientWithOptions(providers, reference, cfg, policy, l.enclave,
-		resilience,
-		core.AssessmentOptions{Context: ctx, ProviderNames: names, Checkpoints: opts.Checkpoints,
-			RetainCheckpoints: opts.RetainCheckpoints})
+	report, err := core.Run(providers, reference, cfg, policy, l.enclave, copts)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +252,7 @@ func (r *remoteProvider) Health() Health {
 }
 
 // closeOwned closes the connection if the provider re-established it; the
-// caller's original connection is left open per the Run contract.
+// caller's original connection is left open per the Leader.Run contract.
 func (r *remoteProvider) closeOwned() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -274,7 +261,7 @@ func (r *remoteProvider) closeOwned() {
 	}
 }
 
-// markByzantine quarantines the connection after the resilient runner blamed
+// markByzantine quarantines the connection after core.Run's quorum loop blamed
 // this member: every further request, the result broadcast, and any rejoin
 // attempt are refused.
 func (r *remoteProvider) markByzantine(phase string) {
@@ -555,8 +542,8 @@ func (r *remoteProvider) notify(msgs ...transport.Message) error {
 }
 
 // Rejoin implements core.RejoinableProvider: a crash-failed member gets one
-// fresh redialed and re-attested channel and a clean health slate, so the
-// resilient runner can audit it and re-admit it at the next phase boundary.
+// fresh redialed and re-attested channel and a clean health slate, so
+// core.Run's quorum loop can audit it and re-admit it at the next phase boundary.
 // A quarantined (byzantine) member is refused outright.
 func (r *remoteProvider) Rejoin() error {
 	r.mu.Lock()

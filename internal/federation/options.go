@@ -54,12 +54,14 @@ type RunOptions struct {
 	// it to share checkpoints between identical requests; one-shot CLI runs
 	// leave it false.
 	RetainCheckpoints bool
-	// Byzantine enables semantic fault containment on top of quorum
-	// degradation: a member whose answers fail cross-member plausibility
+	// Byzantine enables semantic fault containment. A leader that resumes
+	// from a checkpoint challenges every member to reproduce the summary it
+	// reported before, whatever the quorum; without one, a member caught
+	// equivocating there aborts the run with the attributed evidence. With
+	// MinQuorum > 0, a member whose answers fail cross-member plausibility
 	// checks, or that answers the same query differently across deliveries
 	// (equivocation), is quarantined with an attributing blame record in
-	// Report.Blamed instead of aborting the run. Requires MinQuorum > 0 to
-	// have any effect beyond attribution.
+	// Report.Blamed instead of aborting the run.
 	Byzantine bool
 	// AllowRejoin permits a member excluded for a crash-class failure to
 	// re-attest and rejoin at the next phase boundary (once per member per
@@ -84,6 +86,14 @@ type MemberEvent struct {
 	// Phase is the protocol phase implicated by a runner-level event; empty
 	// for transport-level transitions.
 	Phase string
+}
+
+// faultAware reports whether opts asks for any fault tolerance. The
+// one-process runners give a run without it the base protocol: the leader
+// never redials a member, and a member's serving error fails the run.
+func (o RunOptions) faultAware() bool {
+	return o.RPCTimeout > 0 || o.DialTimeout > 0 || o.MaxRetries > 0 ||
+		o.MinQuorum > 0 || o.Byzantine || o.AllowRejoin || o.OnEvent != nil
 }
 
 func (o RunOptions) dialTimeout() time.Duration {

@@ -92,7 +92,7 @@ type FederationBackend struct {
 }
 
 // providerNames returns the checkpoint identity set: the leader first, then
-// the members in link order (the same shape Leader.RunLinksContext builds).
+// the members in link order (the same shape Leader.Run builds).
 func (b *FederationBackend) providerNames() []string {
 	names := make([]string, 0, len(b.MemberNames)+1)
 	names = append(names, b.Leader.ID())
@@ -120,7 +120,7 @@ func (b *FederationBackend) Run(ctx context.Context, req Request, ck checkpoint.
 	opts.RetainCheckpoints = ck != nil
 	opts.Byzantine = opts.Byzantine || req.Byzantine
 	opts.AllowRejoin = opts.AllowRejoin || req.AllowRejoin
-	return b.Leader.RunLinksContext(ctx, links, b.Reference, req.Config, req.Policy, opts)
+	return b.Leader.Run(ctx, links, b.Reference, req.Config, req.Policy, opts)
 }
 
 // NewInProcessBackend assembles a complete single-process federation for the
@@ -215,9 +215,9 @@ func NewInProcessBackend(shards []*genome.Matrix, reference *genome.Matrix, opts
 }
 
 // NewTCPDialer returns a LinkDialer that connects to standalone member nodes
-// (cmd/gendpr-node) for every run, with redial-on-failure wired the same way
-// as the one-shot leader CLI. Member names are the addresses, matching the
-// CLI's checkpoint identities.
+// (cmd/gendpr-node), with redial-on-failure wired on every link. The leader
+// CLI dials through it both for a one-shot run and, per run, as a daemon.
+// Member names are the addresses, the CLI's checkpoint identities.
 func NewTCPDialer(addrs []string, dialTimeout time.Duration) LinkDialer {
 	if dialTimeout <= 0 {
 		dialTimeout = transport.DefaultDialTimeout

@@ -20,6 +20,13 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== non-test Go lines (informational) =="
+# The simplicity yardstick of ROADMAP.md, archived so changes can be compared
+# by it. Informational only: no bound, nothing gates on it.
+mkdir -p artifacts
+scripts/loc.sh > artifacts/loc.txt
+tail -n 1 artifacts/loc.txt
+
 echo "== analysis fast path =="
 # The lint suite's own unit and fixture tests, -short so the whole-module
 # self-lint is skipped: a broken analyzer fails here in seconds, before the
