@@ -3,23 +3,25 @@
 // GenDPR run instead of recomputing every phase from zero. A checkpoint is a
 // single self-contained record: the provider roster it was taken over, the
 // collected summary statistics, the selections surviving each completed
-// phase, the pair statistics the LD scan aggregated, and the per-combination
-// Phase 3 results (including the merged LR BitMatrix for the canonical
-// combination, which seeds the admission order on resume).
+// phase (per combination and intersected), the per-combination Phase 3
+// results (with the canonical admission order for the full-membership
+// combination, which a resuming leader reuses instead of re-fetching member
+// matrices), and the blame records of quarantined members.
 //
 // The on-disk/on-wire form is a versioned, length-prefixed, CRC-guarded
-// envelope over the project's deterministic wire codec. Decoding is
-// all-or-nothing: a truncated, corrupted, or version-skewed record yields an
-// error and no partially applied state, which the fuzz target enforces.
+// envelope over the project's deterministic wire layout. Decoding is
+// all-or-nothing and canonical: a truncated, corrupted, or version-skewed
+// record yields an error and no partially applied state, and an accepted
+// record re-encodes to the same bytes, which the fuzz target enforces.
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 
-	"gendpr/internal/genome"
 	"gendpr/internal/wire"
 )
 
@@ -28,11 +30,11 @@ import (
 // correctness hazard, not a migration opportunity.
 //
 // Version 2 replaced the full-membership combination's wire-encoded merged
-// LR-matrix (per-individual data) with the derived admission order. Version 2
-// records may additionally carry a trailing blame section (absent in records
-// written before it existed); decoders treat a missing section as empty, so
-// both generations round-trip under one version.
-const Version = 2
+// LR-matrix (per-individual data) with the derived admission order. Version 3
+// dropped the per-provider LD pair statistics, which no resume path reads
+// (a replayed Phase 2 is followed by no pair query), and made the trailing
+// blame section mandatory, so every accepted record is canonical.
+const Version = 3
 
 // magic identifies a checkpoint record; anything else is not even parsed.
 const magic = "GDPRCKPT"
@@ -58,7 +60,7 @@ const (
 	StageNone Stage = iota
 	// StageMAF means Phase 1 is complete: LPrime and PerMAF are valid.
 	StageMAF
-	// StageLD means Phase 2 is complete: LDouble, PerLD and Pairs are valid.
+	// StageLD means Phase 2 is complete: LDouble and PerLD are valid.
 	StageLD
 )
 
@@ -73,13 +75,6 @@ func (s Stage) String() string {
 	default:
 		return fmt.Sprintf("stage(%d)", uint8(s))
 	}
-}
-
-// PairRecord is one aggregated pair-statistics entry collected from a
-// provider during the LD phase.
-type PairRecord struct {
-	A, B  int
-	Stats genome.PairStats
 }
 
 // Combination is the completed Phase 3 result for one collusion combination,
@@ -128,7 +123,7 @@ type BlameRecord struct {
 }
 
 // State is one checkpoint: everything a leader needs to resume an assessment
-// at the recorded stage. Per-provider arrays (Counts, CaseNs, Pairs) are
+// at the recorded stage. Per-provider arrays (Counts, CaseNs) are
 // indexed like Providers; a resuming leader remaps them onto its own
 // provider order by name.
 type State struct {
@@ -150,11 +145,6 @@ type State struct {
 	// LDouble and PerLD are the Phase 2 outputs (valid from StageLD).
 	LDouble []int
 	PerLD   [][]int
-	// Pairs holds each provider's pair statistics aggregated during the LD
-	// scan, indexed like Providers (valid from StageLD). Seeding them back
-	// into the provider caches lets a resumed run answer any residual LD
-	// queries without re-contacting members.
-	Pairs [][]PairRecord
 	// Combinations lists the Phase 3 combinations completed so far.
 	Combinations []Combination
 	// Blamed lists the members quarantined for detectably-wrong behavior up
@@ -162,207 +152,196 @@ type State struct {
 	Blamed []BlameRecord
 }
 
-// maxElems bounds decoded element counts before allocation so a hostile
-// length field cannot force a huge allocation; real checkpoints are far
-// smaller.
-const maxElems = 1 << 24
+// headerSize is the envelope prefix: magic | version u32 | payload length u64.
+const headerSize = len(magic) + 4 + 8
 
 // Encode serializes the state into the versioned CRC-guarded envelope:
 //
 //	magic(8) | version u32 | payload length u64 | payload | crc32(IEEE) u32
 //
-// The CRC covers version, length, and payload.
+// The CRC covers version, length, and payload. The payload uses the wire
+// codec's layout (fixed-width big-endian values, u64 length prefixes). A
+// counting pass over the state sizes the record exactly, so the whole
+// record — envelope included — is written into a single allocation.
 func Encode(st *State) []byte {
-	e := wire.NewEncoder(1024)
-	e.Blob(st.Fingerprint)
-	e.Uint64(uint64(len(st.Providers)))
-	for _, name := range st.Providers {
-		e.String(name)
-	}
-	e.Uint64(uint64(len(st.Counts)))
+	var size writer
+	size.payload(st)
+	w := writer{b: make([]byte, headerSize+size.n+4), n: headerSize}
+	copy(w.b, magic)
+	binary.BigEndian.PutUint32(w.b[len(magic):], Version)
+	binary.BigEndian.PutUint64(w.b[len(magic)+4:], uint64(size.n))
+	w.payload(st)
+	binary.BigEndian.PutUint32(w.b[w.n:], crc32.ChecksumIEEE(w.b[len(magic):w.n]))
+	return w.b
+}
+
+// writer lays out a payload at offset n of b. With a nil b it only advances
+// n, which makes the same walk the exact-size pass of Encode.
+type writer struct {
+	b []byte
+	n int
+}
+
+func (w *writer) payload(st *State) {
+	w.blob(st.Fingerprint)
+	w.strings(st.Providers)
+	w.u64(uint64(len(st.Counts)))
 	for _, counts := range st.Counts {
-		e.Int64s(counts)
+		w.int64s(counts)
 	}
-	e.Int64s(st.CaseNs)
-	e.Uint64(uint64(st.Stage))
-	e.Ints(st.LPrime)
-	encodePerCombination(e, st.PerMAF)
-	e.Ints(st.LDouble)
-	encodePerCombination(e, st.PerLD)
-	e.Uint64(uint64(len(st.Pairs)))
-	for _, recs := range st.Pairs {
-		e.Uint64(uint64(len(recs)))
-		for _, r := range recs {
-			e.Int(r.A)
-			e.Int(r.B)
-			e.Int64(r.Stats.N)
-			e.Int64(r.Stats.SumX)
-			e.Int64(r.Stats.SumY)
-			e.Int64(r.Stats.SumXY)
-			e.Int64(r.Stats.SumXX)
-			e.Int64(r.Stats.SumYY)
-		}
-	}
-	e.Uint64(uint64(len(st.Combinations)))
+	w.int64s(st.CaseNs)
+	w.u64(uint64(st.Stage))
+	w.ints(st.LPrime)
+	w.perCombination(st.PerMAF)
+	w.ints(st.LDouble)
+	w.perCombination(st.PerLD)
+	w.u64(uint64(len(st.Combinations)))
 	for _, c := range st.Combinations {
-		e.Uint64(uint64(len(c.Members)))
-		for _, m := range c.Members {
-			e.String(m)
-		}
-		e.Ints(c.Safe)
-		e.Float64(c.Power)
-		e.Ints(c.Order)
+		w.strings(c.Members)
+		w.ints(c.Safe)
+		w.u64(math.Float64bits(c.Power))
+		w.ints(c.Order)
 	}
-	e.Uint64(uint64(len(st.Blamed)))
+	w.u64(uint64(len(st.Blamed)))
 	for _, b := range st.Blamed {
-		e.String(b.Member)
-		e.String(b.Phase)
-		e.String(b.Query)
-		e.String(b.Kind)
-		e.Blob(b.Prior)
-		e.Blob(b.Observed)
+		w.str(b.Member)
+		w.str(b.Phase)
+		w.str(b.Query)
+		w.str(b.Kind)
+		w.blob(b.Prior)
+		w.blob(b.Observed)
 	}
-	payload := e.Bytes()
-
-	out := make([]byte, 0, len(magic)+16+len(payload))
-	out = append(out, magic...)
-	out = appendUint32(out, Version)
-	out = appendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	crc := crc32.ChecksumIEEE(out[len(magic):])
-	return appendUint32(out, crc)
 }
 
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+func (w *writer) u64(v uint64) {
+	if w.b != nil {
+		binary.BigEndian.PutUint64(w.b[w.n:], v)
+	}
+	w.n += 8
 }
 
-func appendUint64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+func (w *writer) blob(b []byte) {
+	w.u64(uint64(len(b)))
+	if w.b != nil {
+		copy(w.b[w.n:], b)
+	}
+	w.n += len(b)
 }
 
-func encodePerCombination(e *wire.Encoder, per [][]int) {
-	e.Uint64(uint64(len(per)))
+func (w *writer) str(s string) {
+	w.u64(uint64(len(s)))
+	if w.b != nil {
+		copy(w.b[w.n:], s)
+	}
+	w.n += len(s)
+}
+
+func (w *writer) strings(ss []string) {
+	w.u64(uint64(len(ss)))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
+
+func (w *writer) int64s(v []int64) {
+	w.u64(uint64(len(v)))
+	if w.b == nil {
+		w.n += 8 * len(v)
+		return
+	}
+	for _, x := range v {
+		binary.BigEndian.PutUint64(w.b[w.n:], uint64(x))
+		w.n += 8
+	}
+}
+
+func (w *writer) ints(v []int) {
+	w.u64(uint64(len(v)))
+	if w.b == nil {
+		w.n += 8 * len(v)
+		return
+	}
+	for _, x := range v {
+		binary.BigEndian.PutUint64(w.b[w.n:], uint64(int64(x)))
+		w.n += 8
+	}
+}
+
+func (w *writer) perCombination(per [][]int) {
+	w.u64(uint64(len(per)))
 	for _, sel := range per {
-		e.Ints(sel)
+		w.ints(sel)
 	}
 }
 
 // Decode parses an encoded checkpoint. Any structural defect — wrong magic,
-// version skew, truncation, trailing bytes, CRC mismatch, or an undecodable
-// payload — yields a nil state and an error; a partially decoded state is
-// never returned.
+// version skew, truncation, trailing bytes, CRC mismatch, an out-of-range
+// field, or an undecodable payload — yields a nil state and an error; a
+// partially decoded state is never returned. Every accepted record is
+// canonical: Encode of the decoded state reproduces it byte for byte.
 func Decode(b []byte) (*State, error) {
-	if len(b) < len(magic)+16 {
+	if len(b) < headerSize+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCorrupt, len(b))
 	}
 	if string(b[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	body := b[len(magic) : len(b)-4]
-	wantCRC := uint32(b[len(b)-4])<<24 | uint32(b[len(b)-3])<<16 | uint32(b[len(b)-2])<<8 | uint32(b[len(b)-1])
-	if crc32.ChecksumIEEE(body) != wantCRC {
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[len(b)-4:]) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	version := uint32(body[0])<<24 | uint32(body[1])<<16 | uint32(body[2])<<8 | uint32(body[3])
-	if version != Version {
+	if version := binary.BigEndian.Uint32(body); version != Version {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, version, Version)
 	}
-	length := uint64(0)
-	for _, x := range body[4:12] {
-		length = length<<8 | uint64(x)
-	}
+	length := binary.BigEndian.Uint64(body[4:])
 	payload := body[12:]
 	if uint64(len(payload)) != length {
 		return nil, fmt.Errorf("%w: payload length %d, envelope says %d", ErrCorrupt, len(payload), length)
 	}
 
-	d := wire.NewDecoder(payload)
-	st := &State{}
-	st.Fingerprint = append([]byte(nil), d.Blob()...)
-	st.Providers = decodeStrings(d)
-	nCounts, ok := decodeLen(d)
-	if !ok {
-		return nil, fmt.Errorf("%w: counts length", ErrCorrupt)
+	r := &reader{Decoder: wire.NewDecoder(payload)}
+	st := &State{Fingerprint: copyBytes(r.Blob()), Providers: r.strings()}
+	st.Counts = make([][]int64, r.count("counts"))
+	for i := range st.Counts {
+		st.Counts[i] = r.Int64s()
 	}
-	st.Counts = make([][]int64, 0, nCounts)
-	for i := 0; i < nCounts; i++ {
-		st.Counts = append(st.Counts, d.Int64s())
+	st.CaseNs = r.Int64s()
+	if stage := r.Uint64(); stage <= uint64(StageLD) {
+		st.Stage = Stage(stage)
+	} else {
+		r.fail("stage")
 	}
-	st.CaseNs = d.Int64s()
-	st.Stage = Stage(d.Uint64())
-	st.LPrime = d.Ints()
-	st.PerMAF = decodePerCombination(d)
-	st.LDouble = d.Ints()
-	st.PerLD = decodePerCombination(d)
-	nPairs, ok := decodeLen(d)
-	if !ok {
-		return nil, fmt.Errorf("%w: pairs length", ErrCorrupt)
-	}
-	st.Pairs = make([][]PairRecord, 0, nPairs)
-	for i := 0; i < nPairs; i++ {
-		n, ok := decodeLen(d)
-		if !ok {
-			return nil, fmt.Errorf("%w: pair record length", ErrCorrupt)
-		}
-		recs := make([]PairRecord, 0, n)
-		for j := 0; j < n; j++ {
-			recs = append(recs, PairRecord{
-				A: d.Int(),
-				B: d.Int(),
-				Stats: genome.PairStats{
-					N:     d.Int64(),
-					SumX:  d.Int64(),
-					SumY:  d.Int64(),
-					SumXY: d.Int64(),
-					SumXX: d.Int64(),
-					SumYY: d.Int64(),
-				},
-			})
-		}
-		st.Pairs = append(st.Pairs, recs)
-	}
-	nCombos, ok := decodeLen(d)
-	if !ok {
-		return nil, fmt.Errorf("%w: combination length", ErrCorrupt)
-	}
-	st.Combinations = make([]Combination, 0, nCombos)
-	for i := 0; i < nCombos; i++ {
-		c := Combination{
-			Members: decodeStrings(d),
-			Safe:    d.Ints(),
-			Power:   d.Float64(),
-		}
+	st.LPrime = r.Ints()
+	st.PerMAF = r.perCombination()
+	st.LDouble = r.Ints()
+	st.PerLD = r.perCombination()
+	st.Combinations = make([]Combination, r.count("combinations"))
+	for i := range st.Combinations {
+		c := Combination{Members: r.strings(), Safe: r.Ints(), Power: r.Float64()}
 		// Keep the zero value for an absent order so encode/decode round
 		// trips compare equal (only the full-membership record carries one).
-		if o := d.Ints(); len(o) > 0 {
+		if o := r.Ints(); len(o) > 0 {
 			c.Order = o
 		}
-		st.Combinations = append(st.Combinations, c)
+		st.Combinations[i] = c
 	}
-	// The blame section trails the record and is optional: records written
-	// before it existed simply end here.
-	if d.Remaining() > 0 {
-		nBlamed, ok := decodeLen(d)
-		if !ok {
-			return nil, fmt.Errorf("%w: blame length", ErrCorrupt)
-		}
-		if nBlamed > 0 {
-			st.Blamed = make([]BlameRecord, 0, nBlamed)
-		}
-		for i := 0; i < nBlamed; i++ {
-			st.Blamed = append(st.Blamed, BlameRecord{
-				Member:   d.String(),
-				Phase:    d.String(),
-				Query:    d.String(),
-				Kind:     d.String(),
-				Prior:    copyBytes(d.Blob()),
-				Observed: copyBytes(d.Blob()),
-			})
+	if n := r.count("blame"); n > 0 {
+		st.Blamed = make([]BlameRecord, n)
+	}
+	for i := range st.Blamed {
+		st.Blamed[i] = BlameRecord{
+			Member:   r.String(),
+			Phase:    r.String(),
+			Query:    r.String(),
+			Kind:     r.String(),
+			Prior:    copyBytes(r.Blob()),
+			Observed: copyBytes(r.Blob()),
 		}
 	}
-	if err := d.Finish(); err != nil {
+	if r.bad != "" {
+		return nil, fmt.Errorf("%w: %s out of range", ErrCorrupt, r.bad)
+	}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
 	if err := st.validate(); err != nil {
@@ -372,19 +351,13 @@ func Decode(b []byte) (*State, error) {
 }
 
 // validate enforces the cross-field invariants a decoder cannot express:
-// per-provider arrays must align with the roster, and the stage must be one
-// this version defines. Saving code maintains these by construction.
+// per-provider arrays must align with the roster, and combination powers
+// must be finite. Saving code maintains these by construction.
 func (st *State) validate() error {
 	g := len(st.Providers)
 	if len(st.Counts) != g || len(st.CaseNs) != g {
 		return fmt.Errorf("%w: %d providers with %d count vectors and %d population sizes",
 			ErrCorrupt, g, len(st.Counts), len(st.CaseNs))
-	}
-	if len(st.Pairs) != 0 && len(st.Pairs) != g {
-		return fmt.Errorf("%w: %d pair caches for %d providers", ErrCorrupt, len(st.Pairs), g)
-	}
-	if st.Stage > StageLD {
-		return fmt.Errorf("%w: stage %d", ErrCorrupt, st.Stage)
 	}
 	for _, c := range st.Combinations {
 		if math.IsNaN(c.Power) || math.IsInf(c.Power, 0) {
@@ -403,34 +376,43 @@ func copyBytes(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-func decodeLen(d *wire.Decoder) (int, bool) {
-	n := d.Uint64()
-	if d.Err() != nil || n > maxElems {
-		return 0, false
-	}
-	return int(n), true
+// reader is a wire decoder that also remembers the first element count or
+// stage value outside what the format allows.
+type reader struct {
+	*wire.Decoder
+	bad string
 }
 
-func decodeStrings(d *wire.Decoder) []string {
-	n, ok := decodeLen(d)
-	if !ok {
-		return nil
+func (r *reader) fail(field string) {
+	if r.bad == "" {
+		r.bad = field
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.String())
+}
+
+// count reads an element count before anything is allocated for it. Every
+// counted element occupies at least 8 payload bytes, so a count above an
+// eighth of the unread payload is a hostile or corrupt length field.
+func (r *reader) count(field string) int {
+	n := r.Uint64()
+	if n > uint64(r.Remaining()/8) {
+		r.fail(field)
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) strings() []string {
+	out := make([]string, r.count("strings"))
+	for i := range out {
+		out[i] = r.String()
 	}
 	return out
 }
 
-func decodePerCombination(d *wire.Decoder) [][]int {
-	n, ok := decodeLen(d)
-	if !ok {
-		return nil
-	}
-	out := make([][]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.Ints())
+func (r *reader) perCombination() [][]int {
+	out := make([][]int, r.count("per-combination selections"))
+	for i := range out {
+		out[i] = r.Ints()
 	}
 	return out
 }

@@ -5,8 +5,6 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
-
-	"gendpr/internal/genome"
 )
 
 func sampleState() *State {
@@ -20,11 +18,6 @@ func sampleState() *State {
 		PerMAF:      [][]int{{0, 1, 2}, {0, 2}},
 		LDouble:     []int{0, 2},
 		PerLD:       [][]int{{0, 2}, {2}},
-		Pairs: [][]PairRecord{
-			{{A: 0, B: 1, Stats: genome.PairStats{N: 12, SumX: 3, SumY: 4, SumXY: 2, SumXX: 3, SumYY: 4}}},
-			{},
-			{{A: 1, B: 2, Stats: genome.PairStats{N: 20, SumX: 9, SumY: 9, SumXY: 5, SumXX: 9, SumYY: 9}}},
-		},
 		Combinations: []Combination{
 			{Members: []string{"gdo-0", "gdo-1", "gdo-2"}, Safe: []int{0, 2}, Power: 0.25, Order: []int{1, 2, 0}},
 			{Members: []string{"gdo-0", "gdo-2"}, Safe: []int{2}},
@@ -143,7 +136,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	// A second Save must atomically replace the first.
 	want.Stage = StageMAF
-	want.LDouble, want.PerLD, want.Pairs, want.Combinations = nil, nil, nil, nil
+	want.LDouble, want.PerLD, want.Combinations = nil, nil, nil
 	if err := s.Save(want); err != nil {
 		t.Fatalf("second Save: %v", err)
 	}
@@ -173,4 +166,67 @@ func restitchCRC(b []byte) {
 	b[len(b)-3] = byte(crc >> 16)
 	b[len(b)-2] = byte(crc >> 8)
 	b[len(b)-1] = byte(crc)
+}
+
+// g5State is a snapshot shaped like the final one of a Table 4 assessment
+// under the conservative policy with five providers: 10,000-SNP count
+// vectors and 31 per-combination selections and results.
+func g5State() *State {
+	const g, snps, combos = 5, 10000, 31
+	st := &State{
+		Fingerprint: make([]byte, 32),
+		Stage:       StageLD,
+		CaseNs:      make([]int64, g),
+	}
+	sel := make([]int, 400)
+	for i := range sel {
+		sel[i] = 7 * i
+	}
+	for i := 0; i < g; i++ {
+		st.Providers = append(st.Providers, "gdo-"+string(rune('a'+i)))
+		counts := make([]int64, snps)
+		for j := range counts {
+			counts[j] = int64((i + j) % 300)
+		}
+		st.Counts = append(st.Counts, counts)
+		st.CaseNs[i] = 150
+	}
+	st.LPrime = sel
+	st.LDouble = sel[:350]
+	for c := 0; c < combos; c++ {
+		st.PerMAF = append(st.PerMAF, sel)
+		st.PerLD = append(st.PerLD, sel[:350])
+		st.Combinations = append(st.Combinations, Combination{Members: st.Providers[:1+c%g], Safe: sel[:300], Power: 0.5})
+	}
+	st.Combinations[0].Order = sel
+	return st
+}
+
+// TestEncodeSingleAllocation pins the presized encoder: a save allocates the
+// record it returns and nothing else.
+func TestEncodeSingleAllocation(t *testing.T) {
+	st := g5State()
+	if allocs := testing.AllocsPerRun(20, func() { encoded = Encode(st) }); allocs != 1 {
+		t.Errorf("Encode allocated %v times per call, want 1", allocs)
+	}
+	got, err := Decode(Encode(st))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Error("G5-shaped state did not round-trip")
+	}
+}
+
+// encoded keeps the measured encodes observable to the compiler.
+var encoded []byte
+
+func BenchmarkEncode(b *testing.B) {
+	st := g5State()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(Encode(st))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encoded = Encode(st)
+	}
 }

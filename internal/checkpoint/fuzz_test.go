@@ -8,8 +8,9 @@ import (
 
 // FuzzDecode drives the checkpoint codec with arbitrary bytes. The contract
 // under test: Decode never panics, never returns a state alongside an error,
-// and any state it does accept is internally consistent enough to re-encode
-// and decode back to itself (no half-applied records).
+// and any state it does accept re-encodes to exactly the input bytes — the
+// codec is canonical, and the presized encoder counts every byte it writes —
+// and decodes back to itself (no half-applied records).
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte(magic))
@@ -23,7 +24,10 @@ func FuzzDecode(f *testing.F) {
 		LPrime:      []int{0, 2},
 		PerMAF:      [][]int{{0, 2}},
 	}))
-	full := Encode(sampleState())
+	withBlame := sampleState()
+	withBlame.Blamed = []BlameRecord{{Member: "gdo-2", Phase: "summary collection", Query: "summary",
+		Kind: "equivocation", Prior: []byte{1, 2}, Observed: []byte{3}}}
+	full := Encode(withBlame)
 	f.Add(full)
 	// Seed a few targeted mutations so the corpus starts near the
 	// interesting branches: flipped CRC, skewed version, truncation.
@@ -46,9 +50,13 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		// Accepted input: the state must survive a re-encode round trip
-		// bit-for-bit, proving nothing was dropped or half-applied.
+		// Accepted input: re-encoding must reproduce it byte for byte, and the
+		// state must survive the round trip, proving nothing was dropped or
+		// half-applied.
 		re := Encode(st)
+		if !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding an accepted record changed its bytes (%d -> %d)", len(data), len(re))
+		}
 		st2, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-encoded state failed to decode: %v", err)
@@ -82,19 +90,6 @@ func statesEqual(a, b *State) bool {
 	if !intsEqual(a.LDouble, b.LDouble) || !intMatrixEqual(a.PerLD, b.PerLD) {
 		return false
 	}
-	if len(a.Pairs) != len(b.Pairs) {
-		return false
-	}
-	for i := range a.Pairs {
-		if len(a.Pairs[i]) != len(b.Pairs[i]) {
-			return false
-		}
-		for j := range a.Pairs[i] {
-			if a.Pairs[i][j] != b.Pairs[i][j] {
-				return false
-			}
-		}
-	}
 	if len(a.Combinations) != len(b.Combinations) {
 		return false
 	}
@@ -109,6 +104,16 @@ func statesEqual(a, b *State) bool {
 			}
 		}
 		if !intsEqual(ca.Safe, cb.Safe) || ca.Power != cb.Power || !intsEqual(ca.Order, cb.Order) {
+			return false
+		}
+	}
+	if len(a.Blamed) != len(b.Blamed) {
+		return false
+	}
+	for i := range a.Blamed {
+		ba, bb := a.Blamed[i], b.Blamed[i]
+		if ba.Member != bb.Member || ba.Phase != bb.Phase || ba.Query != bb.Query || ba.Kind != bb.Kind ||
+			!bytes.Equal(ba.Prior, bb.Prior) || !bytes.Equal(ba.Observed, bb.Observed) {
 			return false
 		}
 	}

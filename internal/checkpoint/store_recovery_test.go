@@ -18,7 +18,7 @@ func twoBoundaryStore(t *testing.T) (*FileStore, *State, *State) {
 	}
 	older := sampleState()
 	older.Stage = StageMAF
-	older.LDouble, older.PerLD, older.Pairs, older.Combinations = nil, nil, nil, nil
+	older.LDouble, older.PerLD, older.Combinations = nil, nil, nil
 	if err := s.Save(older); err != nil {
 		t.Fatalf("Save older: %v", err)
 	}
@@ -157,8 +157,8 @@ func TestFileStoreFaultHook(t *testing.T) {
 }
 
 // TestBlameSectionRoundTrip pins the trailing blame section: it round-trips
-// through the codec, and a record written before the section existed decodes
-// with no blame at all.
+// through the codec, and since Version 3 it is mandatory — a record that ends
+// before it is corrupt, so no two byte strings decode to the same state.
 func TestBlameSectionRoundTrip(t *testing.T) {
 	want := sampleState()
 	want.Blamed = []BlameRecord{
@@ -174,8 +174,8 @@ func TestBlameSectionRoundTrip(t *testing.T) {
 		t.Errorf("blame round trip mismatch:\n got %+v\nwant %+v", got.Blamed, want.Blamed)
 	}
 
-	// Strip the empty trailing section from a blame-free record to fabricate
-	// the pre-section format, re-stitching the length field and CRC.
+	// Strip the empty trailing section from a blame-free record, re-stitching
+	// the length field and CRC so only the missing section can reject it.
 	old := Encode(sampleState())
 	old = old[:len(old)-4-8] // drop CRC trailer and the 8-byte zero count
 	lengthOff := 8 + 4       // magic | version
@@ -185,11 +185,7 @@ func TestBlameSectionRoundTrip(t *testing.T) {
 	}
 	old = append(old, 0, 0, 0, 0)
 	restitchCRC(old)
-	got, err = Decode(old)
-	if err != nil {
-		t.Fatalf("Decode pre-section record: %v", err)
-	}
-	if got.Blamed != nil {
-		t.Errorf("pre-section record decoded with blame: %+v", got.Blamed)
+	if got, err := Decode(old); !errors.Is(err, ErrCorrupt) || got != nil {
+		t.Fatalf("Decode of a record without the blame section = (%v, %v), want ErrCorrupt", got, err)
 	}
 }

@@ -809,13 +809,11 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	if err := r.ctxErr(); err != nil {
 		return nil, nil, err
 	}
-	if lDouble, perLD, pairs, ok := r.cs.seededLD(); ok && len(perLD) == plan.count {
-		// Resume: Phase 2 outputs come from the checkpoint; the aggregated
-		// pair statistics seed the provider caches so any residual pooled
-		// query (Phase 3 never issues one, but callers may) replays locally.
+	if lDouble, perLD, ok := r.cs.seededLD(); ok && len(perLD) == plan.count {
+		// Resume: Phase 2 outputs come from the checkpoint. No pair
+		// statistics are needed — Phase 3 never issues a pair query.
 		r.resumed = true
-		seedPairCaches(r.members, pairs)
-		if err := r.cs.recordLD(lDouble, perLD, r.members, false); err != nil {
+		if err := r.cs.recordLD(lDouble, perLD, false); err != nil {
 			return nil, nil, err
 		}
 		return lDouble, perLD, nil
@@ -874,7 +872,7 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	start = time.Now()
 	intersected := IntersectSorted(per...)
 	r.addTiming(&r.report.Timings.LD, start)
-	if err := r.cs.recordLD(intersected, per, r.members, true); err != nil {
+	if err := r.cs.recordLD(intersected, per, true); err != nil {
 		return nil, nil, err
 	}
 	return intersected, per, nil

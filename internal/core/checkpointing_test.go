@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
 	"testing"
 
 	"gendpr/internal/checkpoint"
@@ -47,14 +51,32 @@ func providersFor(shards []*genome.Matrix, order []int) ([]Provider, []string) {
 	return ps, ns
 }
 
+// noPairProvider is a member that refuses every pair-statistics query, single
+// or batched; every other query is answered by the wrapped member.
+type noPairProvider struct {
+	*LocalMember
+}
+
+var errNoPairs = errors.New("pair statistics queried after the LD boundary")
+
+func (noPairProvider) PairStats(a, b int) (genome.PairStats, error) {
+	return genome.PairStats{}, errNoPairs
+}
+
+func (noPairProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
+	return nil, errNoPairs
+}
+
 // TestResumeFromCheckpointBitIdentical crashes a leader after each save
 // boundary in turn, then resumes under a leader that enumerates the providers
 // in a different order, and demands the resumed result equal the undisturbed
-// baseline bit for bit.
+// baseline bit for bit. A resume seeded at the LD boundary or later runs over
+// members that refuse pair queries: checkpoints carry no pair statistics, and
+// no phase after LD may need them.
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	shards, ref := checkpointFixture(t)
 	cfg := DefaultConfig()
-	for _, policy := range []CollusionPolicy{{}, {F: 1}} {
+	for _, policy := range []CollusionPolicy{{}, {F: 1}, {Conservative: true}} {
 		baselineProviders, _ := providersFor(shards, []int{0, 1, 2})
 		baseline, err := Run(baselineProviders, ref, cfg, policy, nil, Options{})
 		if err != nil {
@@ -79,6 +101,11 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			// Resume with the provider slots shuffled: the new leader claims
 			// the checkpoint by identity name, not position.
 			ps2, names2 := providersFor(shards, []int{2, 0, 1})
+			if keep >= 2 {
+				for i, p := range ps2 {
+					ps2[i] = noPairProvider{p.(*LocalMember)}
+				}
+			}
 			report, err := Run(ps2, ref, cfg, policy, nil, Options{
 				ProviderNames: names2,
 				Checkpoints:   snap.inner,
@@ -192,4 +219,54 @@ func (p *tamperedProvider) Counts() ([]int64, error) {
 	out := append([]int64(nil), counts...)
 	out[0] = 1 << 40 // impossibly large
 	return out, nil
+}
+
+// TestPreV3CheckpointStartsFresh hands a run a snapshot written by a build
+// with checkpoint format Version 2 — same run shape, so only the version
+// stands between it and a resume. The run must start fresh, reproduce the
+// baseline, and leave the old record quarantined for inspection.
+func TestPreV3CheckpointStartsFresh(t *testing.T) {
+	shards, ref := checkpointFixture(t)
+	cfg := DefaultConfig()
+	baselineProviders, _ := providersFor(shards, []int{0, 1, 2})
+	baseline, err := Run(baselineProviders, ref, cfg, CollusionPolicy{}, nil, Options{})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+
+	// A crashed run's LD-boundary snapshot, re-stamped as Version 2 with a
+	// valid CRC: the envelope is intact, only the version is skewed.
+	snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: 2}
+	ps, names := providersFor(shards, []int{0, 1, 2})
+	if _, err := Run(ps, ref, cfg, CollusionPolicy{}, nil, Options{ProviderNames: names, Checkpoints: snap}); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	st, err := snap.inner.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := checkpoint.Encode(st)
+	binary.BigEndian.PutUint32(old[8:], 2)
+	binary.BigEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[8:len(old)-4]))
+
+	store, err := checkpoint.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report, err := Run(ps, ref, cfg, CollusionPolicy{}, nil, Options{ProviderNames: names, Checkpoints: store})
+	if err != nil {
+		t.Fatalf("run over a Version 2 snapshot: %v", err)
+	}
+	if report.Resumed {
+		t.Error("run resumed from a Version 2 snapshot")
+	}
+	if !report.Selection.Equal(baseline.Selection) {
+		t.Errorf("selection %v != baseline %v", report.Selection, baseline.Selection)
+	}
+	if got, err := os.ReadFile(store.Path() + ".corrupt"); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("Version 2 snapshot not quarantined under .corrupt: %v", err)
+	}
 }

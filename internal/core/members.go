@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"gendpr/internal/genome"
@@ -432,37 +431,6 @@ func (c *cachedProvider) seedSummary(counts []int64, caseN int64) {
 	c.mu.Lock()
 	c.counts, c.caseN, c.loaded = counts, caseN, true
 	c.mu.Unlock()
-}
-
-// seedPair primes one pair-statistics cache entry from a checkpoint.
-func (c *cachedProvider) seedPair(a, b int, s genome.PairStats) {
-	c.mu.Lock()
-	c.pairs[pairKey(a, b)] = s
-	c.mu.Unlock()
-}
-
-// snapshotPairs returns the cached pair statistics sorted by (a, b) — the
-// deterministic order checkpoints are written in.
-func (c *cachedProvider) snapshotPairs() ([][2]int, []genome.PairStats) {
-	c.mu.Lock()
-	keys := make([][2]int, 0, len(c.pairs))
-	for k := range c.pairs {
-		keys = append(keys, [2]int{int(k >> 32), int(uint32(k))})
-	}
-	c.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]genome.PairStats, len(keys))
-	c.mu.Lock()
-	for i, k := range keys {
-		out[i] = c.pairs[pairKey(k[0], k[1])]
-	}
-	c.mu.Unlock()
-	return keys, out
 }
 
 // AuditSummary implements SummaryAuditor by forwarding past the cache to the

@@ -120,9 +120,9 @@ func (d *Decoder) Finish() error {
 	return nil
 }
 
-// Remaining reports how many payload bytes are still unread. Decoders of
-// formats with optional trailing sections probe it before Finish; after a
-// decoding error it reports zero so error handling stays single-pathed.
+// Remaining reports how many payload bytes are still unread. Decoders probe
+// it to bound an element count before allocating for it; after a decoding
+// error it reports zero so error handling stays single-pathed.
 func (d *Decoder) Remaining() int {
 	if d.err != nil {
 		return 0

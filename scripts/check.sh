@@ -104,6 +104,13 @@ grep -rEoh --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
 echo "== go test -race =="
 go test -race ./...
 
+echo "== checkpoint codec fuzz smoke =="
+# A short coverage-guided run of the checkpoint decoder: no panic, no state
+# returned beside an error, and every accepted record re-encodes to exactly
+# its input bytes (the codec is canonical and the encoder sizes records
+# exactly). A crasher lands in internal/checkpoint/testdata/fuzz/.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/checkpoint/
+
 echo "== chaos smoke (short fault sweep) =="
 # A fixed-seed subset of the chaos harness: one fault per direction through
 # Phase 1 and Phase 3, both the rescue and the quorum-degradation paths.
